@@ -5,15 +5,15 @@ to normal form, decomposes reduced pangrammatic words along canonical
 surjections of their alphabet, restricts the decomposition to the
 non-crossing quotient, and solves the resulting triangular systems to
 compute word cumulants.  Specializing the word recovers free cumulants
-(ascending word) and Boolean cumulants (peak word); direct partition-sum
-implementations and a classical-cumulant solver are included for
-cross-checking.  All arithmetic is exact rational.
+(ascending word) and Boolean cumulants (peak word).  A non-crossing
+partition sum for free cumulants, closed recursions for Boolean and
+classical cumulants, and the forward free moment map are included for
+comparison and cross-checking.  All arithmetic is exact rational.
 """
 
 from .words import (
     Alphabet,
     EmptyRestrictionError,
-    Letter,
     Word,
     apply_map,
     ascending_word,
@@ -32,24 +32,17 @@ from .words import (
 )
 from .surjections import (
     CanonicalSurjection,
-    NonCrossingPartition,
-    Order,
-    canonicalize,
     compose,
     enumerate_canonical_surjections,
     enumerate_nc_partitions,
-    graft_orders,
     is_noncrossing_partition,
     restrict_map,
 )
 from .cooperad import (
-    CounitUndefinedError,
     CrossingWordError,
     DecompositionTerm,
-    Lin,
     apply_surjection,
     check_coassociativity,
-    counit,
     crossing_ideal_witness,
     decompose,
     decompose_along,
@@ -60,7 +53,6 @@ from .probability import (
     MissingMomentError,
     MomentFunctional,
     MomentTableError,
-    Monomial,
     expect_word,
     first_occurrence_order,
     format_rational,
@@ -83,29 +75,21 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "CanonicalSurjection",
-    "CounitUndefinedError",
     "CrossingWordError",
     "CumulantTable",
     "DecompositionTerm",
     "EmptyRestrictionError",
-    "Letter",
-    "Lin",
     "MissingMomentError",
     "MomentFunctional",
     "MomentTableError",
-    "Monomial",
-    "NonCrossingPartition",
-    "Order",
     "Word",
     "apply_map",
     "apply_surjection",
     "ascending_word",
     "boolean_cumulant",
-    "canonicalize",
     "check_coassociativity",
     "classical_cumulant",
     "compose",
-    "counit",
     "crossing_ideal_witness",
     "decompose",
     "decompose_along",
@@ -120,7 +104,6 @@ __all__ = [
     "format_term",
     "free_cumulant",
     "free_cumulant_direct",
-    "graft_orders",
     "is_noncrossing",
     "is_noncrossing_partition",
     "is_noncrossing_seq",

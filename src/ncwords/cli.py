@@ -112,6 +112,9 @@ def _cumulant_record(kind: str, args: list[str], value, word: str | None = None)
 def _run_cumulants(ns: argparse.Namespace) -> int:
     E = load_moments(ns.moments)
     args = _parse_args_list(ns.args)
+    for name in args:
+        if name not in E.variables:
+            raise ValueError(f"--args names {name!r}, which is not a variable of {ns.moments}")
     if ns.up_to is not None:
         if ns.kind == "word":
             raise ValueError("batch mode (--up-to) does not apply to --kind word")

@@ -22,8 +22,6 @@ tests and what makes the non-crossing variant well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
 
 from .surjections import (
     CanonicalSurjection,
@@ -34,7 +32,6 @@ from .surjections import (
 from .words import (
     Alphabet,
     Word,
-    apply_map,
     is_noncrossing,
     is_noncrossing_seq,
     is_pangrammatic,
@@ -45,80 +42,8 @@ from .words import (
 )
 
 
-class CounitUndefinedError(ValueError):
-    """Raised when the counit is applied to a word on more than one letter."""
-
-
 class CrossingWordError(ValueError):
     """Raised when a non-crossing operation receives a crossing word."""
-
-
-class Lin:
-    """A finite formal linear combination with exact rational coefficients.
-
-    Zero coefficients are pruned eagerly, so two combinations are equal
-    exactly when they have the same support and coefficients.  Instances
-    are immutable once constructed.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Iterable[tuple[object, Fraction | int]] = ()) -> None:
-        acc: dict[object, Fraction] = {}
-        for basis, coeff in terms:
-            c = acc.get(basis, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[basis] = c
-            else:
-                acc.pop(basis, None)
-        self._terms = acc
-
-    @classmethod
-    def basis(cls, b: object) -> "Lin":
-        return cls([(b, Fraction(1))])
-
-    @classmethod
-    def zero(cls) -> "Lin":
-        return cls()
-
-    def coefficient(self, b: object) -> Fraction:
-        return self._terms.get(b, Fraction(0))
-
-    def terms(self) -> list[tuple[object, Fraction]]:
-        """Support with coefficients, sorted by rendered basis element."""
-        return sorted(self._terms.items(), key=lambda kv: str(kv[0]))
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "Lin") -> "Lin":
-        if not isinstance(other, Lin):
-            return NotImplemented
-        return Lin(list(self._terms.items()) + list(other._terms.items()))
-
-    def __neg__(self) -> "Lin":
-        return Lin((b, -c) for b, c in self._terms.items())
-
-    def __sub__(self, other: "Lin") -> "Lin":
-        if not isinstance(other, Lin):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar: Fraction | int) -> "Lin":
-        return Lin((b, c * Fraction(scalar)) for b, c in self._terms.items())
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Lin) and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"{c}*{b}" for b, c in self.terms())
 
 
 @dataclass(frozen=True, eq=True)
@@ -186,15 +111,6 @@ def decompose_noncrossing(w: Word) -> list[DecompositionTerm]:
         if is_noncrossing_seq(_image_seq(w, f)):
             out.append(decompose_along(w, f))
     return out
-
-
-def counit(w: Word) -> Fraction:
-    """1 on single-letter alphabets; undefined (an error) otherwise."""
-    if w.alphabet.size != 1:
-        raise CounitUndefinedError(
-            f"counit undefined on alphabet of size {w.alphabet.size}"
-        )
-    return Fraction(1)
 
 
 def crossing_ideal_witness(term: DecompositionTerm) -> bool:

@@ -19,20 +19,22 @@ Specializing the word recovers the classical families:
 - the ascending word ``1, 2, ..., N`` gives free cumulants, and
 - the peak word ``1, 2, ..., N, N-1, ..., 2`` gives Boolean cumulants.
 
-``free_cumulant_direct``, ``boolean_cumulant``, and ``classical_cumulant``
-solve the corresponding moment-cumulant systems by direct enumeration of
-non-crossing, interval, and arbitrary set partitions.  They share no
-logic with the word recursion (they even enumerate their partitions
-independently), which is what makes the agreement tests meaningful.
+``free_cumulant_direct`` solves the free moment-cumulant system by
+direct enumeration of non-crossing partitions.  ``boolean_cumulant``,
+``classical_cumulant`` and ``moments_from_free_cumulants`` use the
+closed recursions on the block holding the first element.  None of them
+shares logic with the word recursion, which is what makes the agreement
+tests meaningful.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Sequence
 
 from .probability import MomentFunctional, expect_word, first_occurrence_order
-from .surjections import enumerate_canonical_surjections, enumerate_nc_partitions
+from .surjections import enumerate_canonical_surjections
 from .words import (
     Word,
     ascending_word,
@@ -62,10 +64,9 @@ class CumulantTable:
         self._memo: dict[tuple[tuple[int, ...], tuple[str, ...]], Fraction] = {}
 
     def _key(self, w: Word, assign: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        order = first_occurrence_order(w)
-        seq = tuple(order.rank_of(x + 1) - 1 for x in w.seq)
-        names = tuple(assign[e - 1] for e in order.by_rank())
-        return seq, names
+        ranks = first_occurrence_order(w)
+        by_rank = sorted(range(len(ranks)), key=ranks.__getitem__)
+        return tuple(ranks[x] - 1 for x in w.seq), tuple(assign[i] for i in by_rank)
 
     def word_cumulant(self, w: Word, assign: Sequence[str]) -> Fraction:
         """The cumulant of a reduced pangrammatic non-crossing word."""
@@ -157,32 +158,6 @@ def _iter_noncrossing_blocks(elements: tuple[int, ...]) -> Iterator[Blocks]:
             yield (block,) + tail
 
 
-def _iter_set_partitions(elements: tuple[int, ...]) -> Iterator[Blocks]:
-    """All set partitions of a tuple of positions: the first element
-    either starts a new block or joins one of an existing partition."""
-    if not elements:
-        yield ()
-        return
-    first, rest = elements[0], elements[1:]
-    for part in _iter_set_partitions(rest):
-        yield ((first,),) + part
-        for i in range(len(part)):
-            yield part[:i] + ((first,) + part[i],) + part[i + 1 :]
-
-
-def _iter_interval_blocks(n: int) -> Iterator[Blocks]:
-    """Interval partitions of ``0..n-1``: one block per run between cuts."""
-    for mask in range(1 << (n - 1)):
-        blocks: list[tuple[int, ...]] = []
-        start = 0
-        for i in range(n - 1):
-            if mask >> i & 1:
-                blocks.append(tuple(range(start, i + 1)))
-                start = i + 1
-        blocks.append(tuple(range(start, n)))
-        yield tuple(blocks)
-
-
 def free_cumulant_direct(E: MomentFunctional, variables: Sequence[str]) -> Fraction:
     """The free cumulant by direct non-crossing partition recursion.
 
@@ -213,36 +188,30 @@ def free_cumulant_direct(E: MomentFunctional, variables: Sequence[str]) -> Fract
 
 
 def boolean_cumulant(E: MomentFunctional, variables: Sequence[str]) -> Fraction:
-    """The Boolean cumulant, by interval partition recursion."""
+    """The Boolean cumulant, by the first-block recursion.
+
+    The first interval block of ``a_1 .. a_n`` is some prefix
+    ``a_1 .. a_k``, and the interval partitions of the rest sum to its
+    moment, so ``E(a_1..a_n) = sum over k of eta(a_1..a_k) E(a_k+1..a_n)``
+    (Speicher and Woroudi, 1997).  Solved for every prefix in turn.
+    """
     vs = tuple(variables)
     if not vs:
         raise ValueError("at least one variable is required")
-    memo: dict[tuple[str, ...], Fraction] = {}
-
-    def bc(t: tuple[str, ...]) -> Fraction:
-        hit = memo.get(t)
-        if hit is not None:
-            return hit
-        total = E.expect(t)
-        for blocks in _iter_interval_blocks(len(t)):
-            if len(blocks) == 1:
-                continue
-            prod = Fraction(1)
-            for b in blocks:
-                prod *= bc(tuple(t[i] for i in b))
-            total -= prod
-        memo[t] = total
-        return total
-
-    return bc(vs)
+    eta: list[Fraction] = []
+    for k in range(1, len(vs) + 1):
+        eta.append(E.expect(vs[:k]) - sum(eta[j - 1] * E.expect(vs[j:k]) for j in range(1, k)))
+    return eta[-1]
 
 
 def classical_cumulant(E: MomentFunctional, variables: Sequence[str]) -> Fraction:
-    """The classical cumulant, by recursion over all set partitions.
+    """The classical cumulant, by ``m_n = sum C(n-1, k-1) kappa_k m_n-k``.
 
-    Only defined for powers of a single variable: classical cumulants
-    presuppose commuting arguments, and this package does not symmetrize,
-    so mixed argument tuples are rejected.
+    The recursion groups set partitions by the size ``k`` of the block
+    holding the first element.  Only defined for powers of a single
+    variable: classical cumulants presuppose commuting arguments, and
+    this package does not symmetrize, so mixed argument tuples are
+    rejected.
     """
     vs = tuple(variables)
     if not vs:
@@ -251,42 +220,32 @@ def classical_cumulant(E: MomentFunctional, variables: Sequence[str]) -> Fractio
         raise ValueError(
             f"classical cumulants take powers of a single variable, got {sorted(set(vs))}"
         )
-    memo: dict[int, Fraction] = {}
-    v = vs[0]
-
-    def cc(n: int) -> Fraction:
-        hit = memo.get(n)
-        if hit is not None:
-            return hit
-        total = E.expect((v,) * n)
-        for blocks in _iter_set_partitions(tuple(range(n))):
-            if len(blocks) == 1:
-                continue
-            prod = Fraction(1)
-            for b in blocks:
-                prod *= cc(len(b))
-            total -= prod
-        memo[n] = total
-        return total
-
-    return cc(len(vs))
+    n = len(vs)
+    m = [E.expect(vs[:j]) for j in range(n + 1)]
+    kappa = [Fraction(0)]
+    for j in range(1, n + 1):
+        kappa.append(m[j] - sum(comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j)))
+    return kappa[n]
 
 
 def moments_from_free_cumulants(kappas: Sequence[Fraction | int]) -> list[Fraction]:
     """Run the free moment-cumulant sum forward.
 
     Given ``kappa_1 .. kappa_N`` for one variable, returns the moments
-    ``m_0 .. m_N``; each moment is the sum over non-crossing partitions
-    of the product of block cumulants.
+    ``m_0 .. m_N``.  The block holding the first element has some size
+    ``s`` and cuts the rest into ``s`` gaps that partition independently,
+    so ``m_n = sum over s of kappa_s [z^(n-s)] M(z)^s`` with ``M`` the
+    moment series.
     """
     ks = [Fraction(k) for k in kappas]
-    out = [Fraction(1)]
+    m = [Fraction(1)]
+    # power[s][r] is the coefficient of z^r in M(z)^s.
+    power = [[Fraction(1)] + [Fraction(0)] * len(ks)] + [[] for _ in ks]
     for n in range(1, len(ks) + 1):
         total = Fraction(0)
-        for part in enumerate_nc_partitions(n):
-            prod = Fraction(1)
-            for block in part.blocks():
-                prod *= ks[len(block) - 1]
-            total += prod
-        out.append(total)
-    return out
+        for s in range(1, n + 1):
+            r = n - s
+            power[s].append(sum(m[i] * power[s - 1][r - i] for i in range(r + 1)))
+            total += ks[s - 1] * power[s][r]
+        m.append(total)
+    return m

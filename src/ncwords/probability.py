@@ -22,19 +22,22 @@ with every value a ``p/q`` string.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .surjections import Order
 from .words import Word, is_pangrammatic
 
 
 class MissingMomentError(LookupError):
-    """Raised when a functional has no value for a requested monomial."""
+    """Raised when a functional has no value for a requested monomial.
 
-    def __init__(self, monomial: "Monomial") -> None:
-        super().__init__(f"moment undefined for monomial {monomial}")
+    ``monomial`` is the tuple of factors; the message writes it as
+    ``a*b*a``, or ``1`` for the empty monomial.
+    """
+
+    def __init__(self, monomial: tuple[str, ...]) -> None:
+        super().__init__(f"moment undefined for monomial {'*'.join(monomial) or '1'}")
         self.monomial = monomial
 
 
@@ -42,39 +45,21 @@ class MomentTableError(ValueError):
     """Raised when a moment table fails to parse or validate."""
 
 
-@dataclass(frozen=True, eq=True)
-class Monomial:
-    """A product of variables in a fixed order; empty means the unit 1."""
-
-    factors: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-    @classmethod
-    def unit(cls) -> "Monomial":
-        return cls(())
-
-    @classmethod
-    def of(cls, *names: str) -> "Monomial":
-        return cls(tuple(names))
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def __str__(self) -> str:
-        return "*".join(self.factors) if self.factors else "1"
+_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a ``p/q`` string into an exact rational."""
-    if not isinstance(text, str):
+    """Parse a ``p/q`` string into an exact rational.
+
+    Exactly an optional ``-``, ASCII digits, ``/`` and ASCII digits: no
+    whitespace, ``+``, underscores or signed denominator.
+    """
+    if not isinstance(text, str) or _RATIONAL.fullmatch(text) is None:
         raise MomentTableError(f"rational value must be a 'p/q' string, got {text!r}")
-    parts = text.split("/")
-    if len(parts) != 2:
-        raise MomentTableError(f"rational value must be a 'p/q' string, got {text!r}")
+    num, den = text.split("/")
     try:
-        p, q = int(parts[0]), int(parts[1])
+        # int() refuses digit strings longer than its conversion limit.
+        p, q = int(num), int(den)
     except ValueError:
         raise MomentTableError(f"rational value must be a 'p/q' string, got {text!r}") from None
     if q == 0:
@@ -119,11 +104,12 @@ class MomentFunctional:
     def variables(self) -> tuple[str, ...]:
         return self._variables
 
-    def expect(self, monomial: Monomial | Sequence[str]) -> Fraction:
-        """The expectation of a monomial; raises on anything undefined."""
-        factors = monomial.factors if isinstance(monomial, Monomial) else tuple(monomial)
+    def expect(self, monomial: Sequence[str]) -> Fraction:
+        """The expectation of a monomial, given as its sequence of
+        factors; raises on anything undefined."""
+        factors = tuple(monomial)
         if any(v not in self._varset for v in factors):
-            raise MissingMomentError(Monomial(factors))
+            raise MissingMomentError(factors)
         hit = self._table.get(factors)
         if hit is not None:
             return hit
@@ -135,18 +121,19 @@ class MomentFunctional:
             if value is not None:
                 self._rule_cache[factors] = value
                 return value
-        raise MissingMomentError(Monomial(factors))
+        raise MissingMomentError(factors)
 
 
-def first_occurrence_order(w: Word) -> Order:
-    """Rank the letters of a pangrammatic word by first occurrence."""
+def first_occurrence_order(w: Word) -> tuple[int, ...]:
+    """Rank the letters of a pangrammatic word by first occurrence:
+    entry ``i`` is the 1-based rank of letter id ``i``."""
     if not is_pangrammatic(w):
         raise ValueError("cannot rank letters of a word that skips part of its alphabet")
     rank: dict[int, int] = {}
     for x in w.seq:
         if x not in rank:
             rank[x] = len(rank) + 1
-    return Order(w.alphabet.size, tuple(rank[i] for i in range(w.alphabet.size)))
+    return tuple(rank[i] for i in range(w.alphabet.size))
 
 
 def expect_word(E: MomentFunctional, w: Word, assign: Sequence[str]) -> Fraction:
@@ -159,9 +146,8 @@ def expect_word(E: MomentFunctional, w: Word, assign: Sequence[str]) -> Fraction
         raise ValueError(
             f"assignment names {len(assign)} variables for an alphabet of size {w.alphabet.size}"
         )
-    order = first_occurrence_order(w)
-    factors = tuple(assign[e - 1] for e in order.by_rank())
-    return E.expect(factors)
+    ranks = first_occurrence_order(w)
+    return E.expect(tuple(assign[i] for i in sorted(range(len(ranks)), key=ranks.__getitem__)))
 
 
 def semicircular_family(

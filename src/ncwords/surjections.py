@@ -1,4 +1,4 @@
-"""Canonical surjections, non-crossing partitions, and total orders.
+"""Canonical surjections and non-crossing partitions.
 
 A surjection ``[n] -> [m]`` is stored in canonical (min-preimage) form:
 block ``i`` is the block whose smallest element is the ``i``-th smallest
@@ -8,15 +8,15 @@ more than the maximum seen so far.  Canonical surjections are therefore
 in bijection with set partitions of ``[n]``, and a partition is
 non-crossing exactly when its value sequence is a non-crossing word.
 
-Elements, block labels, and ranks are all 1-based here, matching the
-usual combinatorial notation; words elsewhere use 0-based letter ids.
+Elements and block labels are 1-based here, matching the usual
+combinatorial notation; words elsewhere use 0-based letter ids.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .words import is_noncrossing_seq
 
@@ -92,20 +92,6 @@ class CanonicalSurjection:
         return self.block_notation()
 
 
-def canonicalize(values: Sequence[Hashable]) -> tuple[CanonicalSurjection, dict[Hashable, int]]:
-    """Relabel an arbitrary value sequence into canonical form.
-
-    Returns the canonical surjection together with the relabelling from
-    original values to 1-based block labels.
-    """
-    relabel: dict[Hashable, int] = {}
-    for v in values:
-        if v not in relabel:
-            relabel[v] = len(relabel) + 1
-    assign = tuple(relabel[v] for v in values)
-    return CanonicalSurjection(len(values), len(relabel), assign), relabel
-
-
 @functools.cache
 def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     """All canonical surjections from ``[n]``, sorted by codomain size and
@@ -135,44 +121,12 @@ def is_noncrossing_partition(f: CanonicalSurjection) -> bool:
     return is_noncrossing_seq(f.assignment)
 
 
-@dataclass(frozen=True, eq=True)
-class NonCrossingPartition:
-    """A canonical surjection whose value sequence is non-crossing."""
-
-    surjection: CanonicalSurjection
-
-    def __post_init__(self) -> None:
-        if not is_noncrossing_partition(self.surjection):
-            raise ValueError(f"partition {self.surjection} is crossing")
-
-    @property
-    def n(self) -> int:
-        return self.surjection.n
-
-    @property
-    def size(self) -> int:
-        return self.surjection.m
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self.surjection.blocks()
-
-    def block_notation(self) -> str:
-        return self.surjection.block_notation()
-
-    def __str__(self) -> str:
-        return self.block_notation()
-
-
 @functools.cache
-def enumerate_nc_partitions(n: int) -> tuple[NonCrossingPartition, ...]:
-    """All non-crossing partitions of ``[n]``, in canonical surjection
-    order.  There are Catalan(n) of them.
+def enumerate_nc_partitions(n: int) -> tuple[CanonicalSurjection, ...]:
+    """All non-crossing partitions of ``[n]``, as canonical surjections
+    in enumeration order.  There are Catalan(n) of them.
     """
-    return tuple(
-        NonCrossingPartition(f)
-        for f in enumerate_canonical_surjections(n)
-        if is_noncrossing_partition(f)
-    )
+    return tuple(f for f in enumerate_canonical_surjections(n) if is_noncrossing_partition(f))
 
 
 def compose(g: CanonicalSurjection, f: CanonicalSurjection) -> CanonicalSurjection:
@@ -199,72 +153,3 @@ def restrict_map(f: CanonicalSurjection, elements: Sequence[int]) -> CanonicalSu
     return CanonicalSurjection(
         len(elems), len(image), tuple(rank[f.assignment[e - 1]] for e in elems)
     )
-
-
-@dataclass(frozen=True, eq=True)
-class Order:
-    """A total order on ``[n]``: ``ranking[i-1]`` is the rank of ``i``."""
-
-    n: int
-    ranking: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ranking", tuple(self.ranking))
-        if len(self.ranking) != self.n or sorted(self.ranking) != list(range(1, self.n + 1)):
-            raise ValueError(f"ranking {self.ranking} is not a bijection [{self.n}] -> [{self.n}]")
-
-    @classmethod
-    def identity(cls, n: int) -> "Order":
-        return cls(n, tuple(range(1, n + 1)))
-
-    def rank_of(self, i: int) -> int:
-        return self.ranking[i - 1]
-
-    def by_rank(self) -> tuple[int, ...]:
-        """Elements listed from rank 1 to rank n."""
-        inv = [0] * self.n
-        for i, r in enumerate(self.ranking, start=1):
-            inv[r - 1] = i
-        return tuple(inv)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.ranking)) + ")"
-
-
-def graft_orders(
-    f: CanonicalSurjection,
-    outer: Order,
-    inners: Sequence[Order],
-) -> Order:
-    """Graft block orders along ``f`` under an outer order on the blocks.
-
-    Element ``s`` of the domain receives rank
-
-        inner rank of s within its block
-        + total size of all blocks ranked strictly before f(s).
-
-    ``inners[t-1]`` orders block ``t`` through the increasing
-    identification of the block with an initial segment.
-    """
-    if outer.n != f.m:
-        raise ValueError(f"outer order is on [{outer.n}], expected [{f.m}]")
-    blocks = f.blocks()
-    if len(inners) != f.m:
-        raise ValueError(f"expected {f.m} inner orders, got {len(inners)}")
-    for t, (inner, block) in enumerate(zip(inners, blocks), start=1):
-        if inner.n != len(block):
-            raise ValueError(f"inner order {t} is on [{inner.n}], block has size {len(block)}")
-    position = {}
-    for block in blocks:
-        for p, e in enumerate(block, start=1):
-            position[e] = p
-    shift = [0] * f.m
-    for t in range(1, f.m + 1):
-        shift[t - 1] = sum(
-            len(blocks[u - 1]) for u in range(1, f.m + 1) if outer.rank_of(u) < outer.rank_of(t)
-        )
-    ranking = []
-    for s in range(1, f.n + 1):
-        t = f.assignment[s - 1]
-        ranking.append(inners[t - 1].rank_of(position[s]) + shift[t - 1])
-    return Order(f.n, tuple(ranking))

@@ -26,23 +26,12 @@ Text syntax: a word is written either as single-character letters
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 
 class EmptyRestrictionError(ValueError):
     """Raised when a restriction would delete every letter of a word."""
-
-
-@dataclass(frozen=True)
-class Letter:
-    """A letter: a canonical id plus an optional display name.
-
-    Two letters are equal iff their ids are equal; the name is ignored.
-    """
-
-    id: int
-    name: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +66,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.names)
-
-    def letter(self, i: int) -> Letter:
-        return Letter(i, self.names[i])
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter(i, n) for i, n in enumerate(self.names))
 
     def subset(self, ids: Iterable[int]) -> "Alphabet":
         """The sub-alphabet of the given letter ids, in increasing id order."""
@@ -371,6 +353,9 @@ def peak_word(n: int) -> Word:
     return Word(Alphabet.numeric(n), seq)
 
 
+_DRAWS = 100_000
+
+
 def random_basis_word(
     rng: random.Random,
     alphabet_size: int,
@@ -380,7 +365,8 @@ def random_basis_word(
     """A uniformly seeded pangrammatic reduced word, by rejection.
 
     Used by the randomized coassociativity checks; deterministic for a
-    given generator state.
+    given generator state.  Raises ``ValueError`` when no draw is a basis
+    word, which happens when ``max_len`` barely fits ``k`` letters.
     """
     k = alphabet_size
     if k < 1:
@@ -389,7 +375,7 @@ def random_basis_word(
     if hi < k:
         raise ValueError(f"max_len {max_len} cannot fit a pangrammatic word on {k} letters")
     alphabet = Alphabet.numeric(k)
-    for _ in range(100_000):
+    for _ in range(_DRAWS):
         n = rng.randint(k, hi)
         seq = [rng.randrange(k)]
         for _ in range(n - 1):
@@ -404,4 +390,7 @@ def random_basis_word(
         if noncrossing and not is_noncrossing_seq(seq):
             continue
         return Word(alphabet, tuple(seq))
-    raise RuntimeError("rejection sampling failed to find a basis word")
+    raise ValueError(
+        f"rejection sampling found no basis word on k={k} letters"
+        f" with max_len={max_len} in {_DRAWS} draws"
+    )

@@ -144,6 +144,20 @@ class TestCoassoc:
         code, _, err = run(capsys, "coassoc", "--alphabet-size", "0", "--max-len", "4")
         assert code == 1 and "alphabet-size" in err
 
+    def test_sampler_give_up_is_one_error_line(self, capsys):
+        code, out, err = run(
+            capsys,
+            "coassoc",
+            "--alphabet-size", "16",
+            "--max-len", "16",
+            "--samples", "1",
+            "--seed", "12",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "k=16" in err and "max_len=16" in err and "100000 draws" in err
+
 
 class TestPartitionListing:
     def test_ncpartitions_count(self, capsys):
@@ -276,6 +290,16 @@ class TestCumulantsCommand:
         )
         assert code == 2
         assert "v*v*v*v" in err
+
+    @pytest.mark.parametrize("kind", ["free", "boolean", "classical", "word"])
+    def test_unknown_variable_is_a_validation_error(self, capsys, moments_file, kind):
+        word = ("--word", "ab") if kind == "word" else ()
+        code, out, err = run(
+            capsys, "cumulants", "--moments", moments_file, "--kind", kind, *word,
+            "--args", "v,w",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "'w'" in err
 
     def test_mixed_classical_rejected(self, capsys, tmp_path):
         path = tmp_path / "two.json"

@@ -9,6 +9,7 @@ are compared with.
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -33,6 +34,10 @@ from ncwords import (
 )
 
 from oracles import rand_fraction, single_var_table, two_var_table
+
+
+def catalan(n):
+    return comb(2 * n, n) // (n + 1)
 
 
 def single_table(*moments):
@@ -170,6 +175,33 @@ class TestBooleanCumulants:
             boolean_cumulant(single_table(1), ())
 
 
+    def test_semicircle_to_order_40(self):
+        # the Boolean cumulants of the standard semicircle are
+        # eta_2n = Catalan(n - 1) and vanish in odd orders
+        E = semicircular_family([1])
+        for n in range(1, 41):
+            expected = catalan(n // 2 - 1) if n % 2 == 0 else 0
+            assert boolean_cumulant(E, ("x",) * n) == expected, n
+
+    def test_interval_partition_sum_on_mixed_arguments(self):
+        # the moment is the sum over interval partitions (cut sets) of
+        # the product of block cumulants
+        rng = random.Random(111)
+        E = two_var_table(rng, 8)
+        for n in range(1, 9):
+            for _ in range(3):
+                args = tuple(rng.choice(("a", "b")) for _ in range(n))
+                total = Fraction(0)
+                for r in range(n):
+                    for cuts in itertools.combinations(range(1, n), r):
+                        bounds = (0,) + cuts + (n,)
+                        prod = Fraction(1)
+                        for lo, hi in zip(bounds, bounds[1:]):
+                            prod *= boolean_cumulant(E, args[lo:hi])
+                        total += prod
+                assert total == E.expect(args), args
+
+
 class TestClassicalCumulants:
     def test_closed_forms(self):
         rng = random.Random(106)
@@ -205,6 +237,20 @@ class TestClassicalCumulants:
                         prod *= kappas[len(block)]
                     total += prod
                 assert total == E.expect(("v",) * n)
+
+
+    def test_poisson_cumulants_to_order_40(self):
+        # Poisson(1) has the Bell numbers as moments and every cumulant 1
+        bell, row = [1], [1]
+        for _ in range(40):
+            nxt = [row[-1]]
+            for x in row:
+                nxt.append(nxt[-1] + x)
+            row = nxt
+            bell.append(row[0])
+        E = MomentFunctional(("v",), {("v",) * n: Fraction(bell[n]) for n in range(1, 41)})
+        for n in range(1, 41):
+            assert classical_cumulant(E, ("v",) * n) == 1, n
 
 
 class TestSemicircleCumulants:
@@ -245,6 +291,11 @@ class TestMomentsFromFreeCumulants:
             assert ms[0] == 1
             for n in range(1, 7):
                 assert ms[n] == E.expect(("v",) * n)
+
+    def test_semicircle_to_order_60(self):
+        ms = moments_from_free_cumulants([0, 1] + [0] * 58)
+        assert ms[0::2] == [catalan(n) for n in range(31)]
+        assert not any(ms[1::2])
 
 
 def linear_mix_functional(rng, alpha, beta, up_to=4):

@@ -12,7 +12,6 @@ from ncwords import (
     MissingMomentError,
     MomentFunctional,
     MomentTableError,
-    Monomial,
     Word,
     apply_map,
     ascending_word,
@@ -31,13 +30,9 @@ from oracles import CATALAN, two_var_table
 
 class TestMonomial:
     def test_str(self):
-        assert str(Monomial.unit()) == "1"
-        assert str(Monomial.of("a", "b", "a")) == "a*b*a"
-        assert len(Monomial.of("a", "b")) == 2
-
-    def test_equality(self):
-        assert Monomial.of("a") == Monomial(("a",))
-        assert Monomial.of("a", "b") != Monomial.of("b", "a")
+        # monomials are factor tuples; errors render them as a*b*a, or 1
+        assert str(MissingMomentError(())) == "moment undefined for monomial 1"
+        assert str(MissingMomentError(("a", "b", "a"))) == "moment undefined for monomial a*b*a"
 
 
 class TestRationalSyntax:
@@ -46,7 +41,10 @@ class TestRationalSyntax:
         assert parse_rational("-3/6") == Fraction(-1, 2)
         assert parse_rational("0/1") == 0
 
-    @pytest.mark.parametrize("bad", ["3", "1/2/3", "x/y", "1/0", "", "1.5"])
+    @pytest.mark.parametrize("bad", [
+        "3", "1/2/3", "x/y", "1/0", "", "1.5",
+        "1_0/3", " 1/3", "1/3 ", "1/3\n", "+1/3", "1/-3", "\u0661/3",
+    ])
     def test_parse_rejects(self, bad):
         with pytest.raises(MomentTableError):
             parse_rational(bad)
@@ -60,7 +58,6 @@ class TestRationalSyntax:
 class TestMomentFunctional:
     def test_unit_is_injected(self):
         E = MomentFunctional(("v",), {("v",): Fraction(1, 2)})
-        assert E.expect(Monomial.unit()) == 1
         assert E.expect(()) == 1
 
     def test_table_lookup(self):
@@ -71,7 +68,7 @@ class TestMomentFunctional:
         E = MomentFunctional(("v",), {("v",): Fraction(1)})
         with pytest.raises(MissingMomentError) as exc:
             E.expect(("v", "v"))
-        assert exc.value.monomial == Monomial.of("v", "v")
+        assert exc.value.monomial == ("v", "v")
         assert "v*v" in str(exc.value)
 
     def test_unknown_variable(self):
@@ -105,10 +102,10 @@ class TestMomentFunctional:
 
 class TestFirstOccurrenceOrder:
     def test_examples(self):
-        assert first_occurrence_order(parse_word("a1,a2,a1,a3")).ranking == (1, 2, 3)
-        assert first_occurrence_order(ascending_word(4)).ranking == (1, 2, 3, 4)
+        assert first_occurrence_order(parse_word("a1,a2,a1,a3")) == (1, 2, 3)
+        assert first_occurrence_order(ascending_word(4)) == (1, 2, 3, 4)
         bab = Word(Alphabet.of(("a", "b")), (1, 0, 1))
-        assert first_occurrence_order(bab).ranking == (2, 1)
+        assert first_occurrence_order(bab) == (2, 1)
 
     def test_requires_pangrammatic(self):
         with pytest.raises(ValueError):

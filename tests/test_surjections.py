@@ -1,27 +1,17 @@
-"""Canonical surjections, non-crossing partitions, orders, and grafting."""
-
-import itertools
+"""Canonical surjections and non-crossing partitions."""
 
 import pytest
 
 from ncwords import (
     CanonicalSurjection,
-    NonCrossingPartition,
-    Order,
-    canonicalize,
     compose,
     enumerate_canonical_surjections,
     enumerate_nc_partitions,
-    graft_orders,
     is_noncrossing_partition,
     restrict_map,
 )
 
 from oracles import BELL, CATALAN, oracle_is_noncrossing_seq
-
-
-def all_orders(n):
-    return [Order(n, perm) for perm in itertools.permutations(range(1, n + 1))]
 
 
 class TestCanonicalSurjection:
@@ -55,11 +45,6 @@ class TestCanonicalSurjection:
         assert CanonicalSurjection.constant(2).is_constant
         f = CanonicalSurjection(3, 2, (1, 1, 2))
         assert not f.is_identity and not f.is_constant
-
-    def test_canonicalize(self):
-        f, relabel = canonicalize(("b", "a", "b"))
-        assert f.assignment == (1, 2, 1)
-        assert relabel == {"b": 1, "a": 2}
 
 
 class TestEnumeration:
@@ -100,12 +85,12 @@ class TestNonCrossingPartitions:
             assert len(enumerate_nc_partitions(n)) == CATALAN[n]
 
     def test_small_contents(self):
-        assert [p.surjection.assignment for p in enumerate_nc_partitions(2)] == [
+        assert [p.assignment for p in enumerate_nc_partitions(2)] == [
             (1, 1),
             (1, 2),
         ]
         assert len(enumerate_nc_partitions(3)) == 5  # every partition of [3]
-        four = [p.surjection.assignment for p in enumerate_nc_partitions(4)]
+        four = [p.assignment for p in enumerate_nc_partitions(4)]
         assert len(four) == 14
         assert (1, 2, 1, 2) not in four
 
@@ -116,16 +101,12 @@ class TestNonCrossingPartitions:
                 for f in enumerate_canonical_surjections(n)
                 if oracle_is_noncrossing_seq(f.assignment)
             ]
-            assert [p.surjection for p in enumerate_nc_partitions(n)] == expected
-
-    def test_crossing_rejected_by_constructor(self):
-        with pytest.raises(ValueError):
-            NonCrossingPartition(CanonicalSurjection(4, 2, (1, 2, 1, 2)))
+            assert list(enumerate_nc_partitions(n)) == expected
 
     def test_size_accessors(self):
-        p = NonCrossingPartition(CanonicalSurjection(4, 2, (1, 2, 2, 1)))
+        p = next(p for p in enumerate_nc_partitions(4) if p.assignment == (1, 2, 2, 1))
         assert p.n == 4
-        assert p.size == 2
+        assert p.m == 2
         assert p.block_notation() == "{1,4}{2,3}"
 
 
@@ -152,98 +133,3 @@ class TestComposeRestrict:
             restrict_map(f, ())
         with pytest.raises(ValueError):
             restrict_map(f, (0, 1))
-
-
-class TestOrder:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Order(3, (1, 1, 2))
-        with pytest.raises(ValueError):
-            Order(3, (1, 2))
-
-    def test_accessors(self):
-        o = Order(3, (2, 3, 1))
-        assert o.rank_of(3) == 1
-        assert o.by_rank() == (3, 1, 2)
-        assert Order.identity(3).by_rank() == (1, 2, 3)
-
-
-class TestGraftOrders:
-    def test_identity_surjection_is_neutral(self):
-        for n in range(1, 5):
-            f = CanonicalSurjection.identity(n)
-            ones = [Order.identity(1)] * n
-            for rho in all_orders(n):
-                assert graft_orders(f, rho, ones) == rho
-
-    def test_constant_surjection_is_neutral(self):
-        for n in range(1, 5):
-            f = CanonicalSurjection.constant(n)
-            for tau in all_orders(n):
-                assert graft_orders(f, Order.identity(1), [tau]) == tau
-
-    def test_frozen_examples(self):
-        f = CanonicalSurjection(3, 2, (1, 2, 1))
-        inners = [Order.identity(2), Order.identity(1)]
-        assert graft_orders(f, Order.identity(2), inners).ranking == (1, 3, 2)
-        assert graft_orders(f, Order(2, (2, 1)), inners).ranking == (2, 1, 3)
-
-    def test_blockwise_contiguity(self):
-        # the ranks of each block form a contiguous run
-        for f in enumerate_canonical_surjections(4):
-            rho = all_orders(f.m)[-1]
-            inners = [Order.identity(len(b)) for b in f.blocks()]
-            result = graft_orders(f, rho, inners)
-            for block in f.blocks():
-                ranks = sorted(result.rank_of(e) for e in block)
-                assert ranks == list(range(ranks[0], ranks[0] + len(block)))
-
-    def test_always_a_bijection(self):
-        # Order's constructor validates, so constructing is the assertion
-        for n in range(1, 5):
-            for f in enumerate_canonical_surjections(n):
-                for rho in all_orders(f.m):
-                    for inners in itertools.product(
-                        *[all_orders(len(b)) for b in f.blocks()]
-                    ):
-                        graft_orders(f, rho, list(inners))
-
-    def test_shape_validation(self):
-        f = CanonicalSurjection(3, 2, (1, 2, 1))
-        with pytest.raises(ValueError):
-            graft_orders(f, Order.identity(3), [Order.identity(2), Order.identity(1)])
-        with pytest.raises(ValueError):
-            graft_orders(f, Order.identity(2), [Order.identity(2)])
-        with pytest.raises(ValueError):
-            graft_orders(f, Order.identity(2), [Order.identity(1), Order.identity(2)])
-
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_associativity_exhaustive(self, n):
-        # two-stage grafting along a chain agrees with one-stage grafting
-        # along the composite, for every chain on [n]
-        for f in enumerate_canonical_surjections(n):
-            f_blocks = f.blocks()
-            tau_pool = [all_orders(len(b)) for b in f_blocks]
-            for g in enumerate_canonical_surjections(f.m):
-                h = compose(g, f)
-                g_blocks = g.blocks()
-                h_blocks = h.blocks()
-                restricted = [restrict_map(f, block) for block in h_blocks]
-                sigma_pool = [all_orders(len(b)) for b in g_blocks]
-                for rho in all_orders(g.m):
-                    for sigmas in itertools.product(*sigma_pool):
-                        mid = graft_orders(g, rho, list(sigmas))
-                        for taus in itertools.product(*tau_pool):
-                            lhs = graft_orders(f, mid, list(taus))
-                            inner_orders = []
-                            for u in range(1, g.m + 1):
-                                ts = g_blocks[u - 1]
-                                inner_orders.append(
-                                    graft_orders(
-                                        restricted[u - 1],
-                                        sigmas[u - 1],
-                                        [taus[t - 1] for t in ts],
-                                    )
-                                )
-                            rhs = graft_orders(h, rho, inner_orders)
-                            assert lhs == rhs, (f, g, rho, sigmas, taus)

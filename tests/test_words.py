@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 from ncwords import (
     Alphabet,
     EmptyRestrictionError,
-    Letter,
     Word,
     apply_map,
     ascending_word,
@@ -53,12 +52,6 @@ class TestAlphabet:
         assert Alphabet.of(("a", "b")) == Alphabet.of(("x", "y"))
         assert Alphabet.of(("a", "b")) != Alphabet.of(("a", "b", "c"))
         assert hash(Alphabet.numeric(2)) == hash(Alphabet.of(("p", "q")))
-
-    def test_letters_carry_names(self):
-        ab = Alphabet.of(("a", "b"))
-        assert ab.letter(1) == Letter(1)
-        assert ab.letter(1).name == "b"
-        assert [l.id for l in ab.letters] == [0, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
