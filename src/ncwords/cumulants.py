@@ -14,6 +14,15 @@ The constant surjection always survives the image filter and contributes
 the cumulant of ``w`` itself, so the system solves by recursion on the
 alphabet size, every block being strictly smaller.
 
+The recursion is split in two.  Its combinatorics, which surjections
+survive and which reduced sub-word and variables each block reads,
+depend only on the word's shape: its id sequence relabelled in first
+occurrence order.  ``_plan`` builds that once per shape with the pruned
+search of :func:`~ncwords.surjections.nc_image_assignments` and keeps it
+for the whole process, whatever the moments.  A :class:`CumulantTable`
+then only executes plans: exact ``Fraction`` arithmetic on the moments
+of its functional.
+
 Specializing the word recovers the classical families:
 
 - the ascending word ``1, 2, ..., N`` gives free cumulants, and
@@ -29,44 +38,83 @@ tests meaningful.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Iterator, Sequence
 
-from .probability import MomentFunctional, expect_word, first_occurrence_order
-from .surjections import enumerate_canonical_surjections
+from .probability import MomentFunctional, first_occurrence_order
+from .surjections import nc_image_assignments
 from .words import (
     Word,
-    ascending_word,
     is_noncrossing,
-    is_noncrossing_seq,
     is_pangrammatic,
     is_reduced,
-    reduce_word,
+    reduce_seq,
     render_word,
-    restrict,
 )
 from .cooperad import CrossingWordError
+
+Shape = tuple[int, ...]
+# One plan term: per block, its reduced canonical sub-shape and the
+# positions of the planned shape's variables that the sub-shape's
+# letters read.
+Term = tuple[tuple[Shape, tuple[int, ...]], ...]
+
+
+@functools.cache
+def _plan(shape: Shape) -> tuple[Term, ...]:
+    """The non-constant terms of the recursion for a first-occurrence
+    canonical shape, in the order of
+    :func:`~ncwords.surjections.enumerate_canonical_surjections`.  The
+    order fixes which moments are requested first, hence which missing
+    moment a table reports.
+
+    Cached for the life of the process; ``_plan.cache_info()`` counts
+    the shapes planned (misses) and the plans reused (hits).
+    """
+    terms = []
+    # A block recurs across many terms; one shared entry per block keeps
+    # plans small.
+    by_block: dict[tuple[int, ...], tuple[Shape, tuple[int, ...]]] = {}
+    for f in sorted(nc_image_assignments(shape, max(shape) + 1), key=lambda a: (max(a), a)):
+        if max(f) == 1:
+            continue
+        term = []
+        for b in range(1, max(f) + 1):
+            ids = tuple(letter for letter, fb in enumerate(f) if fb == b)
+            if ids not in by_block:
+                by_block[ids] = _sub_shape(shape, ids)
+            term.append(by_block[ids])
+        terms.append(tuple(term))
+    return tuple(terms)
+
+
+def _sub_shape(shape: Shape, ids: tuple[int, ...]) -> tuple[Shape, tuple[int, ...]]:
+    """Restrict ``shape`` to the letters ``ids`` (increasing), reduce, and
+    relabel them ``0, 1, ...``.  The letters of a canonical shape first
+    occur in increasing order, so the result is canonical and its letter
+    ``r`` reads the variable of letter ``ids[r]``."""
+    rank = {x: r for r, x in enumerate(ids)}
+    return reduce_seq([rank[x] for x in shape if x in rank]), ids
 
 
 class CumulantTable:
     """Word cumulants of one moment functional, with memoization.
 
-    The memo key is the word relabelled so that letters appear in first
-    occurrence order, together with the variable assignment in the same
-    order, so structurally identical queries share an entry.  Entries are
-    written at most once per key with identical values, so concurrent
-    use on one table is safe.
+    Each query is relabelled to its shape, the word in first occurrence
+    order, with the variables in the same order, so structurally
+    identical queries share a memo entry.  The plans the table executes
+    are per shape and shared by every table in the process; the memo of
+    values is per table.  Plans and memo entries are written at most
+    once per key with identical values, so concurrent use on one table
+    is safe.
     """
 
     def __init__(self, E: MomentFunctional) -> None:
         self.E = E
-        self._memo: dict[tuple[tuple[int, ...], tuple[str, ...]], Fraction] = {}
-
-    def _key(self, w: Word, assign: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        ranks = first_occurrence_order(w)
-        by_rank = sorted(range(len(ranks)), key=ranks.__getitem__)
-        return tuple(ranks[x] - 1 for x in w.seq), tuple(assign[i] for i in by_rank)
+        self._memo: dict[tuple[Shape, tuple[str, ...]], Fraction] = {}
 
     def word_cumulant(self, w: Word, assign: Sequence[str]) -> Fraction:
         """The cumulant of a reduced pangrammatic non-crossing word."""
@@ -81,26 +129,20 @@ class CumulantTable:
             raise ValueError(f"word {render_word(w)!r} is not reduced")
         if not is_noncrossing(w):
             raise CrossingWordError(f"word {render_word(w)!r} is crossing")
-        return self._cumulant(w, assign)
+        ranks = first_occurrence_order(w)
+        by_rank = sorted(range(len(ranks)), key=ranks.__getitem__)
+        shape = tuple(ranks[x] - 1 for x in w.seq)
+        return self._cumulant(shape, tuple(assign[i] for i in by_rank))
 
-    def _cumulant(self, w: Word, assign: tuple[str, ...]) -> Fraction:
-        key = self._key(w, assign)
+    def _cumulant(self, shape: Shape, assign: tuple[str, ...]) -> Fraction:
+        key = (shape, assign)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        total = expect_word(self.E, w, assign)
-        for f in enumerate_canonical_surjections(w.alphabet.size):
-            if f.is_constant:
-                continue
-            if not is_noncrossing_seq(tuple(f.assignment[x] for x in w.seq)):
-                continue
-            prod = Fraction(1)
-            for block in f.blocks():
-                ids = tuple(e - 1 for e in block)
-                sub_w = reduce_word(restrict(w, ids))
-                sub_assign = tuple(assign[i] for i in ids)
-                prod *= self._cumulant(sub_w, sub_assign)
-            total -= prod
+        total = self.E.expect(assign)
+        for term in _plan(shape):
+            blocks = [self._cumulant(sub, tuple([assign[i] for i in at])) for sub, at in term]
+            total -= functools.reduce(mul, blocks)
         self._memo[key] = total
         return total
 
@@ -109,7 +151,7 @@ class CumulantTable:
         vs = tuple(variables)
         if not vs:
             raise ValueError("at least one variable is required")
-        return self._cumulant(ascending_word(len(vs)), vs)
+        return self._cumulant(tuple(range(len(vs))), vs)
 
 
 def word_cumulant(E: MomentFunctional, w: Word, assign: Sequence[str]) -> Fraction:

@@ -121,12 +121,46 @@ def is_noncrossing_partition(f: CanonicalSurjection) -> bool:
     return is_noncrossing_seq(f.assignment)
 
 
+def nc_image_assignments(seq: Sequence[int], k: int) -> list[tuple[int, ...]]:
+    """The canonical surjections of the letters ``0..k-1`` of ``seq``
+    whose image of ``seq`` is non-crossing, as assignment tuples.
+
+    Entry ``i`` of an assignment is the 1-based block of letter ``i``.  A
+    depth-first search grows restricted growth strings one letter at a
+    time and drops a prefix as soon as the image of ``seq``, restricted
+    to the letters assigned so far, crosses: that image is a subsequence
+    of every completion's image, and a subsequence of a non-crossing
+    sequence is non-crossing.  Results come in lexicographic order.
+    """
+    out: list[tuple[int, ...]] = []
+    f = [0] * k
+    # upto[j]: the letters of seq that are at most j, in order.
+    upto = [[x for x in seq if x <= j] for j in range(k)]
+
+    def grow(j: int, mx: int) -> None:
+        if j == k:
+            out.append(tuple(f))
+            return
+        for v in range(1, mx + 2):
+            f[j] = v
+            if is_noncrossing_seq([f[x] for x in upto[j]]):
+                grow(j + 1, max(mx, v))
+
+    grow(0, 0)
+    return out
+
+
 @functools.cache
 def enumerate_nc_partitions(n: int) -> tuple[CanonicalSurjection, ...]:
     """All non-crossing partitions of ``[n]``, as canonical surjections
-    in enumeration order.  There are Catalan(n) of them.
+    sorted like :func:`enumerate_canonical_surjections`.  There are
+    Catalan(n) of them, found by the pruned search without visiting the
+    Bell(n) others.
     """
-    return tuple(f for f in enumerate_canonical_surjections(n) if is_noncrossing_partition(f))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    seqs = sorted(nc_image_assignments(range(n), n), key=lambda a: (max(a), a))
+    return tuple(CanonicalSurjection(n, max(a), a) for a in seqs)
 
 
 def compose(g: CanonicalSurjection, f: CanonicalSurjection) -> CanonicalSurjection:

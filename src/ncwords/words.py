@@ -11,7 +11,8 @@ Conventions used throughout the package:
 - A :class:`Word` is a nonempty sequence of letter ids over its alphabet.
 - :func:`reduce_word` rewrites a word to its unique normal form under the
   two rules "collapse an adjacent repeated letter" and "drop a final
-  letter equal to the first".
+  letter equal to the first"; :func:`reduce_seq` is the same rewrite on
+  a plain id tuple, for inner loops that never build a :class:`Word`.
 - A word is *non-crossing* when no two distinct letters occur interleaved
   as ``a .. b .. a .. b``.
 
@@ -215,31 +216,38 @@ def is_noncrossing(w: Word) -> bool:
     return is_noncrossing_seq(w.seq)
 
 
-def reduce_word(w: Word) -> Word:
-    """Rewrite a word to its reduced normal form.
+def reduce_seq(seq: Sequence[int]) -> tuple[int, ...]:
+    """The reduced normal form of a nonempty id sequence.
 
-    Collapses the leftmost adjacent repeat to a fixpoint, then drops the
-    final letter while it equals the first, repeating until stable.  The
-    result is the unique minimal word reachable by the two rewrite rules;
-    uniqueness is exercised exhaustively in the test suite.
+    Collapses adjacent repeats, then drops a final letter equal to the
+    first.  The result is the unique minimal sequence reachable by the
+    two rewrite rules; uniqueness is exercised exhaustively in the test
+    suite.  Every letter of the input survives.
+
+    >>> reduce_seq((0, 0, 1, 2, 0))
+    (0, 1, 2)
+    """
+    out = [seq[0]]
+    for x in seq[1:]:
+        if x != out[-1]:
+            out.append(x)
+    # With no adjacent repeats left, the letter before a dropped final
+    # letter differs from it, hence from the first letter: one drop is
+    # the most there can be, and it creates no new repeat.
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def reduce_word(w: Word) -> Word:
+    """Rewrite a word to its reduced normal form (see :func:`reduce_seq`).
 
     >>> str(reduce_word(parse_word("aabca")))
     'abc'
     >>> str(reduce_word(parse_word("abba")))
     'ab'
     """
-    seq = list(w.seq)
-    while True:
-        out = [seq[0]]
-        for x in seq[1:]:
-            if x != out[-1]:
-                out.append(x)
-        seq = out
-        if len(seq) > 1 and seq[0] == seq[-1]:
-            seq.pop()
-            continue
-        break
-    return Word(w.alphabet, tuple(seq))
+    return Word(w.alphabet, reduce_seq(w.seq))
 
 
 def restrict(w: Word, keep: Iterable[int]) -> Word:

@@ -17,11 +17,13 @@ from ncwords import (
     Alphabet,
     CrossingWordError,
     CumulantTable,
+    MissingMomentError,
     MomentFunctional,
     Word,
     ascending_word,
     boolean_cumulant,
     classical_cumulant,
+    enumerate_nc_basis,
     enumerate_nc_partitions,
     expect_word,
     free_cumulant,
@@ -32,6 +34,8 @@ from ncwords import (
     semicircular_family,
     word_cumulant,
 )
+
+from ncwords.cumulants import _plan
 
 from oracles import rand_fraction, single_var_table, two_var_table
 
@@ -379,3 +383,129 @@ class TestCumulantsOfWordsBeyondTheFamilies:
                     prod *= table.word_cumulant(sub, tuple(assign[i] for i in ids))
                 total += prod
             assert total == expect_word(E, w, assign)
+
+
+def bell_filter_terms(shape):
+    """The recursion's terms for a canonical shape the way the plan is
+    specified: filter all Bell(k) surjections by the image test, restrict
+    and reduce words per block, and rank each block's letters by first
+    occurrence."""
+    from ncwords import (
+        enumerate_canonical_surjections,
+        first_occurrence_order,
+        is_noncrossing_seq,
+        reduce_word,
+        restrict,
+    )
+
+    k = max(shape) + 1
+    w = Word(Alphabet.numeric(k), shape)
+    terms = []
+    for f in enumerate_canonical_surjections(k):
+        if f.is_constant or not is_noncrossing_seq(tuple(f.assignment[x] for x in shape)):
+            continue
+        term = []
+        for block in f.blocks():
+            ids = tuple(e - 1 for e in block)
+            sub = reduce_word(restrict(w, ids))
+            ranks = first_occurrence_order(sub)
+            by_rank = sorted(range(len(ranks)), key=ranks.__getitem__)
+            term.append((tuple(ranks[x] - 1 for x in sub.seq), tuple(ids[i] for i in by_rank)))
+        terms.append(tuple(term))
+    return tuple(terms)
+
+
+def canonical_shape(seq):
+    rank = {}
+    for x in seq:
+        rank.setdefault(x, len(rank))
+    return tuple(rank[x] for x in seq)
+
+
+class TestPlans:
+    def test_plans_match_bell_filter_on_nc_basis_words(self):
+        shapes = {
+            canonical_shape(w.seq)
+            for k in range(1, 6)
+            for w in enumerate_nc_basis(Alphabet.numeric(k))
+        }
+        for shape in sorted(shapes):
+            assert _plan(shape) == bell_filter_terms(shape), shape
+
+    def test_second_table_reuses_every_plan(self):
+        rng = random.Random(112)
+        queries = [
+            (ascending_word(5), ("a", "b", "a", "b", "b")),
+            (ascending_word(6), ("b",) * 6),
+            (peak_word(5), ("a", "b", "b", "a", "a")),
+            (parse_word("12324"), ("b", "a", "a", "b")),
+        ]
+        first = CumulantTable(two_var_table(rng, 6))
+        for w, args in queries:
+            first.word_cumulant(w, args)
+        before = _plan.cache_info()
+        E = two_var_table(rng, 6)
+        second = CumulantTable(E)
+        values = [second.word_cumulant(w, args) for w, args in queries]
+        after = _plan.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+        assert values[:3] == [
+            free_cumulant_direct(E, queries[0][1]),
+            free_cumulant_direct(E, queries[1][1]),
+            boolean_cumulant(E, queries[2][1]),
+        ]
+
+    def test_free_cumulants_to_order_10_round_trip(self):
+        rng = random.Random(113)
+        E = single_var_table(rng, 10)
+        table = CumulantTable(E)
+        kappas = [table.free_cumulant(("v",) * n) for n in range(1, 11)]
+        assert moments_from_free_cumulants(kappas) == [1] + [
+            E.expect(("v",) * n) for n in range(1, 11)
+        ]
+
+
+def gap_table():
+    """All two-variable moments to order 6 but four, seeded values."""
+    rng = random.Random(2016)
+    table = {}
+    for n in range(1, 7):
+        for t in itertools.product("ab", repeat=n):
+            table[t] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    for t in [("b", "a"), ("a", "b", "b"), ("b", "a", "a", "b"), ("a", "a", "b", "a", "b")]:
+        del table[t]
+    return MomentFunctional(("a", "b"), table)
+
+
+class TestMissingMoments:
+    # The first monomial a query finds missing depends on the order in
+    # which the recursion visits terms and blocks.  Each expected value
+    # was recorded from the route that filtered all Bell(k) surjections;
+    # visiting the terms in reverse order changes most of them.  "free"
+    # and "peak" stand for the ascending and the peak word of the
+    # arguments' length.
+    @pytest.mark.parametrize(
+        "word, args, missing",
+        [
+            ("free", "abba", "abb"),
+            ("free", "abbab", "abb"),
+            ("free", "ababa", "ba"),
+            ("free", "baaba", "baab"),
+            ("free", "aababa", "aabab"),
+            ("peak", "abbab", "abb"),
+            ("peak", "baaba", "baab"),
+            ("peak", "aabbab", "abb"),
+            ("12324", "abba", "abb"),
+        ],
+    )
+    def test_first_missing_monomial(self, word, args, missing):
+        table = CumulantTable(gap_table())
+        with pytest.raises(MissingMomentError) as info:
+            if word == "free":
+                table.free_cumulant(tuple(args))
+            elif word == "peak":
+                table.word_cumulant(peak_word(len(args)), tuple(args))
+            else:
+                table.word_cumulant(parse_word(word), tuple(args))
+        assert info.value.monomial == tuple(missing)

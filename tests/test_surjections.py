@@ -1,15 +1,21 @@
 """Canonical surjections and non-crossing partitions."""
 
+from math import comb
+
 import pytest
 
 from ncwords import (
+    Alphabet,
     CanonicalSurjection,
     compose,
     enumerate_canonical_surjections,
+    enumerate_nc_basis,
     enumerate_nc_partitions,
     is_noncrossing_partition,
+    is_noncrossing_seq,
     restrict_map,
 )
+from ncwords.surjections import nc_image_assignments
 
 from oracles import BELL, CATALAN, oracle_is_noncrossing_seq
 
@@ -95,7 +101,7 @@ class TestNonCrossingPartitions:
         assert (1, 2, 1, 2) not in four
 
     def test_matches_oracle_filter(self):
-        for n in range(1, 8):
+        for n in range(1, 10):
             expected = [
                 f
                 for f in enumerate_canonical_surjections(n)
@@ -103,11 +109,40 @@ class TestNonCrossingPartitions:
             ]
             assert list(enumerate_nc_partitions(n)) == expected
 
+    def test_counts_to_twelve(self):
+        for n in range(1, 13):
+            assert len(enumerate_nc_partitions(n)) == comb(2 * n, n) // (n + 1)
+
     def test_size_accessors(self):
         p = next(p for p in enumerate_nc_partitions(4) if p.assignment == (1, 2, 2, 1))
         assert p.n == 4
         assert p.m == 2
         assert p.block_notation() == "{1,4}{2,3}"
+
+
+class TestPrunedSearch:
+    def test_matches_bell_filter_on_nc_basis_words(self):
+        # the search keeps exactly the surjections whose image of the
+        # word passes the non-crossing test, in lexicographic order
+        for k in range(1, 6):
+            fs = enumerate_canonical_surjections(k)
+            for w in enumerate_nc_basis(Alphabet.numeric(k)):
+                kept = [
+                    f.assignment
+                    for f in fs
+                    if is_noncrossing_seq(tuple(f.assignment[x] for x in w.seq))
+                ]
+                assert nc_image_assignments(w.seq, k) == sorted(kept), w
+
+    def test_prunes_crossing_images_of_single_blocks(self):
+        # merging letters 1 and 3 of 12321 makes the image 1 2 1 2 1 cross
+        assert (1, 2, 1) not in nc_image_assignments((0, 1, 2, 1, 0), 3)
+        assert nc_image_assignments((0, 1, 2, 1, 0), 3) == [
+            (1, 1, 1),
+            (1, 1, 2),
+            (1, 2, 2),
+            (1, 2, 3),
+        ]
 
 
 class TestComposeRestrict:
