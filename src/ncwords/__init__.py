@@ -32,16 +32,12 @@ from .words import (
 )
 from .surjections import (
     CanonicalSurjection,
-    compose,
     enumerate_canonical_surjections,
     enumerate_nc_partitions,
-    is_noncrossing_partition,
-    restrict_map,
 )
 from .cooperad import (
     CrossingWordError,
     DecompositionTerm,
-    apply_surjection,
     check_coassociativity,
     crossing_ideal_witness,
     decompose,
@@ -84,12 +80,10 @@ __all__ = [
     "MomentTableError",
     "Word",
     "apply_map",
-    "apply_surjection",
     "ascending_word",
     "boolean_cumulant",
     "check_coassociativity",
     "classical_cumulant",
-    "compose",
     "crossing_ideal_witness",
     "decompose",
     "decompose_along",
@@ -105,7 +99,6 @@ __all__ = [
     "free_cumulant",
     "free_cumulant_direct",
     "is_noncrossing",
-    "is_noncrossing_partition",
     "is_noncrossing_seq",
     "is_pangrammatic",
     "is_reduced",
@@ -118,7 +111,6 @@ __all__ = [
     "reduce_word",
     "render_word",
     "restrict",
-    "restrict_map",
     "semicircular_family",
     "word_cumulant",
 ]

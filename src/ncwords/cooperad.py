@@ -7,27 +7,28 @@ canonical surjection ``f`` from its alphabet: the term for ``f`` is
     inner  = for each block, the reduction of ``w`` restricted to it
 
 The full decomposition runs over all canonical surjections of the
-alphabet; the non-crossing variant keeps exactly the terms whose
-unreduced image is a non-crossing word (equivalently, by a fact the test
-suite verifies, whose reduced image is non-crossing) and is only defined
-for non-crossing input words.
+alphabet; the non-crossing variant, found by the pruned search, keeps
+exactly the terms whose unreduced image is a non-crossing word and is
+only defined for non-crossing input words.  The private ``_term``
+computes a term on int tuples; only ``decompose_along`` builds words.
 
-``check_coassociativity`` verifies, chain by chain, that decomposing in
-two stages does not depend on the order of the stages.  Crossing words
-generate a coideal: every term of their decomposition has a crossing
-outer or a crossing inner word, which is what ``crossing_ideal_witness``
-tests and what makes the non-crossing variant well defined.
+``check_coassociativity`` verifies, chain by chain, that composing
+``_term`` in two stages does not depend on the order of the stages.
+Crossing words generate a coideal: every term of their decomposition
+has a crossing outer or a crossing inner word, which is what
+``crossing_ideal_witness`` tests and what makes the non-crossing variant
+well defined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .surjections import (
     CanonicalSurjection,
-    compose,
     enumerate_canonical_surjections,
-    restrict_map,
+    nc_image_assignments,
 )
 from .words import (
     Alphabet,
@@ -36,10 +37,13 @@ from .words import (
     is_noncrossing_seq,
     is_pangrammatic,
     is_reduced,
-    reduce_word,
+    reduce_seq,
     render_word,
     restrict,
+    restrict_seq,
 )
+
+Seq = tuple[int, ...]
 
 
 class CrossingWordError(ValueError):
@@ -56,33 +60,34 @@ class DecompositionTerm:
     inner: tuple[Word, ...]
 
 
-def _outer_alphabet(f: CanonicalSurjection) -> Alphabet:
-    # Derived display names: block {2,3} becomes letter "b23".
-    return Alphabet(tuple("b" + "".join(str(e) for e in block) for block in f.blocks()))
-
-
-def apply_surjection(w: Word, f: CanonicalSurjection, target: Alphabet | None = None) -> Word:
-    """Letterwise image of ``w`` under ``f`` (alphabet letter id ``i``
-    corresponds to domain element ``i + 1``)."""
-    if f.n != w.alphabet.size:
-        raise ValueError(f"surjection domain [{f.n}] does not match alphabet size {w.alphabet.size}")
-    tgt = target if target is not None else Alphabet.numeric(f.m)
-    return Word(tgt, tuple(f.assignment[x] - 1 for x in w.seq))
-
-
-def _image_seq(w: Word, f: CanonicalSurjection) -> tuple[int, ...]:
-    return tuple(f.assignment[x] for x in w.seq)
+def _term(seq: Sequence[int], f: Sequence[int]) -> tuple[Seq, tuple[tuple[Seq, Seq], ...]]:
+    """The term of ``seq`` along the canonical assignment ``f`` (letter
+    ``x`` goes to block ``f[x]``, 1-based): the reduced image on block ids
+    ``0, 1, ...``, and per block its letter ids and the reduced
+    restriction of ``seq`` to them.  Every block must meet ``seq``."""
+    blocks: list[list[int]] = [[] for _ in range(max(f))]
+    for x, b in enumerate(f):
+        blocks[b - 1].append(x)
+    outer = reduce_seq([f[x] - 1 for x in seq])
+    return outer, tuple((ids, reduce_seq(restrict_seq(seq, ids))) for ids in map(tuple, blocks))
 
 
 def decompose_along(w: Word, f: CanonicalSurjection) -> DecompositionTerm:
     """The decomposition term of ``w`` along one canonical surjection."""
     if f.n != w.alphabet.size:
         raise ValueError(f"surjection domain [{f.n}] does not match alphabet size {w.alphabet.size}")
-    outer = reduce_word(apply_surjection(w, f, _outer_alphabet(f)))
-    inner = tuple(
-        reduce_word(restrict(w, tuple(e - 1 for e in block))) for block in f.blocks()
+    if not is_pangrammatic(w):
+        # A block the word misses has no inner word; restrict raises.
+        for block in f.blocks():
+            restrict(w, [e - 1 for e in block])
+    outer, blocks = _term(w.seq, f.assignment)
+    # Derived display names: block {2,3} becomes letter "b23".
+    names = tuple("b" + "".join(str(x + 1) for x in ids) for ids, _ in blocks)
+    return DecompositionTerm(
+        f,
+        Word(Alphabet(names), outer),
+        tuple(Word(w.alphabet.subset(ids), inner) for ids, inner in blocks),
     )
-    return DecompositionTerm(f, outer, inner)
 
 
 def _check_basis_word(w: Word) -> None:
@@ -96,21 +101,21 @@ def decompose(w: Word) -> list[DecompositionTerm]:
     """All decomposition terms of a reduced pangrammatic word, in the
     deterministic canonical surjection order."""
     _check_basis_word(w)
-    fs = enumerate_canonical_surjections(w.alphabet.size)
-    return [decompose_along(w, f) for f in fs]
+    return [decompose_along(w, f) for f in enumerate_canonical_surjections(w.alphabet.size)]
 
 
 def decompose_noncrossing(w: Word) -> list[DecompositionTerm]:
     """The non-crossing decomposition: terms whose unreduced image is a
-    non-crossing word.  Only defined for non-crossing input."""
+    non-crossing word, in the order of :func:`decompose`.  Only defined
+    for non-crossing input."""
     _check_basis_word(w)
     if not is_noncrossing(w):
         raise CrossingWordError(f"word {render_word(w)!r} is crossing")
-    out = []
-    for f in enumerate_canonical_surjections(w.alphabet.size):
-        if is_noncrossing_seq(_image_seq(w, f)):
-            out.append(decompose_along(w, f))
-    return out
+    k = w.alphabet.size
+    return [
+        decompose_along(w, CanonicalSurjection(k, max(a), a))
+        for a in nc_image_assignments(w.seq, k)
+    ]
 
 
 def crossing_ideal_witness(term: DecompositionTerm) -> bool:
@@ -139,8 +144,8 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
     the chain is decomposed either outer-first (decompose along ``f``,
     then decompose the outer word along ``g``) or inner-first (decompose
     along ``g . f``, then decompose each restricted word along the
-    restriction of ``f``).  The two routes must produce the same outer
-    word, the same middle factors, and the same inner factors.
+    restriction of ``f`` to its block).  The two routes must produce the
+    same outer word, the same middle factors, and the same inner factors.
 
     With ``noncrossing`` set, both routes additionally filter on
     non-crossing unreduced images, and the filters themselves must agree
@@ -149,55 +154,43 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
     _check_basis_word(w)
     if noncrossing and not is_noncrossing(w):
         raise CrossingWordError(f"word {render_word(w)!r} is crossing")
-    k = w.alphabet.size
-    for f in enumerate_canonical_surjections(k):
-        fw = apply_surjection(w, f)
-        rfw = reduce_word(fw)
-        f_blocks = f.blocks()
-        inners_f = [
-            reduce_word(restrict(w, tuple(e - 1 for e in block))) for block in f_blocks
-        ]
+    s = w.seq
+    for f in enumerate_canonical_surjections(w.alphabet.size):
+        fa = f.assignment
+        outer_f, blocks_f = _term(s, fa)
+        inners_f = [inner for _, inner in blocks_f]
+        f_alive = not noncrossing or is_noncrossing_seq([fa[x] for x in s])
         for g in enumerate_canonical_surjections(f.m):
-            h = compose(g, f)
-            h_blocks = h.blocks()
-
-            lhs_outer = reduce_word(apply_surjection(rfw, g))
-            lhs_mids = [
-                reduce_word(restrict(rfw, tuple(t - 1 for t in block)))
-                for block in g.blocks()
-            ]
-
-            rhs_outer = reduce_word(apply_surjection(w, h))
+            ga = g.assignment
+            lhs_outer, lhs_blocks = _term(outer_f, ga)
+            # Inner-first: along g . f, then each block's word along f on it.
+            h = tuple(ga[t - 1] for t in fa)
+            rhs_outer, rhs_blocks = _term(s, h)
             rhs_mids = []
-            rhs_parts_noncrossing = True
-            restricted_words = []
-            for block in h_blocks:
-                wa = reduce_word(restrict(w, tuple(e - 1 for e in block)))
-                fu = restrict_map(f, block)
-                fu_wa = apply_surjection(wa, fu)
-                if noncrossing and not is_noncrossing(fu_wa):
-                    rhs_parts_noncrossing = False
-                rhs_mids.append(reduce_word(fu_wa))
-                restricted_words.append((block, wa))
-            rhs_inners = []
-            for t in range(1, f.m + 1):
-                u = g.assignment[t - 1]
-                block_u, wa = restricted_words[u - 1]
-                local = tuple(block_u.index(e) for e in f_blocks[t - 1])
-                rhs_inners.append(reduce_word(restrict(wa, local)))
+            rhs_inners: list[Seq] = [()] * f.m
+            parts_alive = True
+            for ids, wa in rhs_blocks:
+                # f on the block, its values relabelled 1, 2, ... in order
+                ts = sorted({fa[x] for x in ids})
+                rank = {t: r for r, t in enumerate(ts, start=1)}
+                fu = [rank[fa[x]] for x in ids]
+                if noncrossing and not is_noncrossing_seq([fu[x] for x in wa]):
+                    parts_alive = False
+                mid, sub_blocks = _term(wa, fu)
+                rhs_mids.append(mid)
+                for t, (_, inner) in zip(ts, sub_blocks):
+                    rhs_inners[t - 1] = inner
 
             if noncrossing:
-                lhs_alive = is_noncrossing(fw) and is_noncrossing(apply_surjection(rfw, g))
-                rhs_alive = (
-                    is_noncrossing(apply_surjection(w, h)) and rhs_parts_noncrossing
-                )
+                lhs_alive = f_alive and is_noncrossing_seq([ga[x] for x in outer_f])
+                rhs_alive = is_noncrossing_seq([h[x] for x in s]) and parts_alive
                 if lhs_alive != rhs_alive:
                     return False
                 if not lhs_alive:
                     continue
             if lhs_outer != rhs_outer:
                 return False
-            if lhs_mids != rhs_mids:
+            if [mid for _, mid in lhs_blocks] != rhs_mids:
                 return False
             if inners_f != rhs_inners:
                 return False

@@ -17,8 +17,9 @@ alphabet size, every block being strictly smaller.
 The recursion is split in two.  Its combinatorics, which surjections
 survive and which reduced sub-word and variables each block reads,
 depend only on the word's shape: its id sequence relabelled in first
-occurrence order.  ``_plan`` builds that once per shape with the pruned
-search of :func:`~ncwords.surjections.nc_image_assignments` and keeps it
+occurrence order.  ``_plan`` builds that once per shape from the pruned
+search :func:`~ncwords.surjections.nc_image_assignments` and the
+``words`` primitives ``restrict_seq`` and ``reduce_seq``, and keeps it
 for the whole process, whatever the moments.  A :class:`CumulantTable`
 then only executes plans: exact ``Fraction`` arithmetic on the moments
 of its functional.
@@ -53,6 +54,7 @@ from .words import (
     is_reduced,
     reduce_seq,
     render_word,
+    restrict_seq,
 )
 from .cooperad import CrossingWordError
 
@@ -78,26 +80,19 @@ def _plan(shape: Shape) -> tuple[Term, ...]:
     # A block recurs across many terms; one shared entry per block keeps
     # plans small.
     by_block: dict[tuple[int, ...], tuple[Shape, tuple[int, ...]]] = {}
-    for f in sorted(nc_image_assignments(shape, max(shape) + 1), key=lambda a: (max(a), a)):
+    for f in nc_image_assignments(shape, max(shape) + 1):
         if max(f) == 1:
             continue
         term = []
         for b in range(1, max(f) + 1):
             ids = tuple(letter for letter, fb in enumerate(f) if fb == b)
             if ids not in by_block:
-                by_block[ids] = _sub_shape(shape, ids)
+                # A canonical shape's letters first occur in increasing
+                # order: the restriction is canonical, letter r is ids[r].
+                by_block[ids] = (reduce_seq(restrict_seq(shape, ids)), ids)
             term.append(by_block[ids])
         terms.append(tuple(term))
     return tuple(terms)
-
-
-def _sub_shape(shape: Shape, ids: tuple[int, ...]) -> tuple[Shape, tuple[int, ...]]:
-    """Restrict ``shape`` to the letters ``ids`` (increasing), reduce, and
-    relabel them ``0, 1, ...``.  The letters of a canonical shape first
-    occur in increasing order, so the result is canonical and its letter
-    ``r`` reads the variable of letter ``ids[r]``."""
-    rank = {x: r for r, x in enumerate(ids)}
-    return reduce_seq([rank[x] for x in shape if x in rank]), ids
 
 
 class CumulantTable:

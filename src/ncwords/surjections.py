@@ -92,6 +92,7 @@ class CanonicalSurjection:
         return self.block_notation()
 
 
+# Cached: a coassociativity check asks for the same few sizes again and again.
 @functools.cache
 def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     """All canonical surjections from ``[n]``, sorted by codomain size and
@@ -116,11 +117,6 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     return tuple(CanonicalSurjection(n, max(a), a) for a in seqs)
 
 
-def is_noncrossing_partition(f: CanonicalSurjection) -> bool:
-    """Whether the value sequence ``f(1), ..., f(n)`` is non-crossing."""
-    return is_noncrossing_seq(f.assignment)
-
-
 def nc_image_assignments(seq: Sequence[int], k: int) -> list[tuple[int, ...]]:
     """The canonical surjections of the letters ``0..k-1`` of ``seq``
     whose image of ``seq`` is non-crossing, as assignment tuples.
@@ -130,7 +126,9 @@ def nc_image_assignments(seq: Sequence[int], k: int) -> list[tuple[int, ...]]:
     time and drops a prefix as soon as the image of ``seq``, restricted
     to the letters assigned so far, crosses: that image is a subsequence
     of every completion's image, and a subsequence of a non-crossing
-    sequence is non-crossing.  Results come in lexicographic order.
+    sequence is non-crossing.  Results come in the order of
+    :func:`enumerate_canonical_surjections`: codomain size, then
+    assignment.
     """
     out: list[tuple[int, ...]] = []
     f = [0] * k
@@ -147,10 +145,10 @@ def nc_image_assignments(seq: Sequence[int], k: int) -> list[tuple[int, ...]]:
                 grow(j + 1, max(mx, v))
 
     grow(0, 0)
+    out.sort(key=lambda a: (max(a), a))
     return out
 
 
-@functools.cache
 def enumerate_nc_partitions(n: int) -> tuple[CanonicalSurjection, ...]:
     """All non-crossing partitions of ``[n]``, as canonical surjections
     sorted like :func:`enumerate_canonical_surjections`.  There are
@@ -159,31 +157,5 @@ def enumerate_nc_partitions(n: int) -> tuple[CanonicalSurjection, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    seqs = sorted(nc_image_assignments(range(n), n), key=lambda a: (max(a), a))
-    return tuple(CanonicalSurjection(n, max(a), a) for a in seqs)
+    return tuple(CanonicalSurjection(n, max(a), a) for a in nc_image_assignments(range(n), n))
 
-
-def compose(g: CanonicalSurjection, f: CanonicalSurjection) -> CanonicalSurjection:
-    """The composite ``g after f``; canonical form is preserved."""
-    if f.m != g.n:
-        raise ValueError(f"cannot compose [{g.n}]->[{g.m}] after [{f.n}]->[{f.m}]")
-    return CanonicalSurjection(f.n, g.m, tuple(g.assignment[v - 1] for v in f.assignment))
-
-
-def restrict_map(f: CanonicalSurjection, elements: Sequence[int]) -> CanonicalSurjection:
-    """Restrict ``f`` to a subset of its domain, re-indexing both the
-    subset and its image in increasing order.
-
-    The caller must pick a subset on which the re-indexed map is again
-    canonical; unions of blocks always are.
-    """
-    elems = sorted(set(elements))
-    if any(e < 1 or e > f.n for e in elems):
-        raise ValueError(f"elements {elems} out of range for domain [{f.n}]")
-    if not elems:
-        raise ValueError("cannot restrict to an empty subset")
-    image = sorted({f.assignment[e - 1] for e in elems})
-    rank = {t: i for i, t in enumerate(image, start=1)}
-    return CanonicalSurjection(
-        len(elems), len(image), tuple(rank[f.assignment[e - 1]] for e in elems)
-    )

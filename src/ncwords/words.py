@@ -13,6 +13,8 @@ Conventions used throughout the package:
   two rules "collapse an adjacent repeated letter" and "drop a final
   letter equal to the first"; :func:`reduce_seq` is the same rewrite on
   a plain id tuple, for inner loops that never build a :class:`Word`.
+- :func:`restrict` deletes the letters outside a set and re-indexes the
+  rest; :func:`restrict_seq` is the same operation on a plain id tuple.
 - A word is *non-crossing* when no two distinct letters occur interleaved
   as ``a .. b .. a .. b``.
 
@@ -262,14 +264,23 @@ def restrict(w: Word, keep: Iterable[int]) -> Word:
     """
     ids = sorted(set(keep))
     sub = w.alphabet.subset(ids)
-    keep_set = set(ids)
-    kept = tuple(x for x in w.seq if x in keep_set)
+    kept = restrict_seq(w.seq, ids)
     if not kept:
         raise EmptyRestrictionError(
             f"restriction of {render_word(w)!r} to letter ids {ids} deletes every letter"
         )
-    rank = {old: new for new, old in enumerate(ids)}
-    return Word(sub, tuple(rank[x] for x in kept))
+    return Word(sub, kept)
+
+
+def restrict_seq(seq: Sequence[int], ids: Sequence[int]) -> tuple[int, ...]:
+    """Delete every letter of ``seq`` outside ``ids`` (increasing) and
+    relabel letter ``ids[r]`` as ``r``.  The result may be empty.
+
+    >>> restrict_seq((0, 1, 2, 0, 1), (0, 1))
+    (0, 1, 0, 1)
+    """
+    rank = {x: r for r, x in enumerate(ids)}
+    return tuple(rank[x] for x in seq if x in rank)
 
 
 def apply_map(

@@ -7,6 +7,7 @@ independent route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -69,6 +70,53 @@ def oracle_normal_forms(seq) -> set[tuple[int, ...]]:
         else:
             normals.add(s)
     return normals
+
+
+@functools.cache
+def oracle_assignments(k: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical surjections from ``[k]`` as restricted growth strings,
+    filtered from all ``k**k`` value tuples, sorted by codomain size and
+    then assignment."""
+    rgs = [
+        a
+        for a in itertools.product(range(1, k + 1), repeat=k)
+        if all(a[i] <= max(a[:i], default=0) + 1 for i in range(k))
+    ]
+    return tuple(sorted(rgs, key=lambda a: (max(a), a)))
+
+
+@functools.cache
+def _oracle_normal_form(seq: tuple[int, ...]) -> tuple[int, ...]:
+    (normal,) = oracle_normal_forms(seq)
+    return normal
+
+
+@functools.cache
+def _oracle_noncrossing(seq: tuple[int, ...]) -> bool:
+    return oracle_is_noncrossing_seq(seq)
+
+
+def oracle_decomposition(seq, k: int, noncrossing: bool = False):
+    """The decomposition terms of an id sequence on ``k`` letters as
+    ``(assignment, outer, inners)`` tuples, each word reduced by closing
+    the rewrite relation.  With ``noncrossing`` set, only the terms whose
+    unreduced image passes :func:`oracle_is_noncrossing_seq`."""
+    seq = tuple(seq)
+    inner_of = {}
+    terms = []
+    for f in oracle_assignments(k):
+        image = tuple(f[x] - 1 for x in seq)
+        if noncrossing and not _oracle_noncrossing(image):
+            continue
+        inners = []
+        for b in range(1, max(f) + 1):
+            ids = tuple(x for x in range(k) if f[x] == b)
+            if ids not in inner_of:
+                sub = tuple(ids.index(x) for x in seq if x in ids)
+                inner_of[ids] = _oracle_normal_form(sub)
+            inners.append(inner_of[ids])
+        terms.append((f, _oracle_normal_form(image), tuple(inners)))
+    return terms
 
 
 def iter_all_seqs(k: int, max_len: int):

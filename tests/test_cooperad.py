@@ -1,9 +1,10 @@
 """Decomposition terms, the two decomposition maps, and their laws.
 
 The headline example (the four-letter word on three letters) is frozen
-term by term; the structural laws (coassociativity, the crossing ideal,
-counit shape, equivariance under relabelling) are checked over small
-enumerated bases.  The filter-agreement test records that selecting
+term by term; both decompositions equal a brute-force oracle term by
+term on small bases; the structural laws (coassociativity, the crossing
+ideal, counit shape, equivariance under relabelling) are checked over
+small enumerated bases.  The filter-agreement test records that selecting
 terms by crossing of the unreduced image never differs from selecting
 by the reduced image.
 """
@@ -17,9 +18,9 @@ from ncwords import (
     Alphabet,
     CanonicalSurjection,
     CrossingWordError,
+    EmptyRestrictionError,
     Word,
     apply_map,
-    apply_surjection,
     check_coassociativity,
     crossing_ideal_witness,
     decompose,
@@ -33,22 +34,9 @@ from ncwords import (
     reduce_word,
 )
 
-from oracles import BELL
+from oracles import BELL, oracle_decomposition
 
 FOUR_LETTER = "a1,a2,a1,a3"
-
-
-class TestApplySurjection:
-    def test_image(self):
-        w = parse_word(FOUR_LETTER)
-        f = CanonicalSurjection(3, 2, (1, 2, 2))
-        image = apply_surjection(w, f)
-        assert image.seq == (0, 1, 0, 1)
-        assert image.alphabet.names == ("1", "2")
-
-    def test_domain_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_surjection(parse_word("ab"), CanonicalSurjection.identity(3))
 
 
 class TestDecomposeAlong:
@@ -71,6 +59,13 @@ class TestDecomposeAlong:
         assert term.outer.seq == (0, 1)
         assert term.outer.alphabet.names == ("b1", "b2")
         assert [str(iw) for iw in term.inner] == ["a", "b"]
+
+    def test_block_missed_by_the_word(self):
+        # only a block with no letter of the word is an error
+        w = Word(Alphabet.numeric(2), (0,))
+        assert decompose_along(w, CanonicalSurjection.constant(2)).inner == (w,)
+        with pytest.raises(EmptyRestrictionError, match=r"letter ids \[1\]"):
+            decompose_along(w, CanonicalSurjection.identity(2))
 
 
 class TestDecompose:
@@ -147,8 +142,25 @@ class TestDecomposeNoncrossing:
         for k in range(1, 4):
             for w in enumerate_word_basis(Alphabet.numeric(k), 6):
                 for f in [t.surjection for t in decompose(w)]:
-                    image = apply_surjection(w, f)
+                    image = apply_map(w, lambda x: f.assignment[x] - 1, Alphabet.numeric(f.m))
                     assert is_noncrossing(image) == is_noncrossing(reduce_word(image))
+
+
+def term_rows(terms):
+    return [(t.surjection.assignment, t.outer.seq, tuple(iw.seq for iw in t.inner)) for t in terms]
+
+
+class TestOracle:
+    def test_decompose_matches_oracle(self):
+        for k in range(1, 5):
+            for w in enumerate_word_basis(Alphabet.numeric(k), 6):
+                assert term_rows(decompose(w)) == oracle_decomposition(w.seq, k), str(w)
+
+    def test_decompose_noncrossing_matches_oracle(self):
+        for k in range(1, 6):
+            for w in enumerate_nc_basis(Alphabet.numeric(k)):
+                expected = oracle_decomposition(w.seq, k, noncrossing=True)
+                assert term_rows(decompose_noncrossing(w)) == expected, str(w)
 
 
 class TestCounit:

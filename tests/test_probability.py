@@ -1,5 +1,6 @@
 """Moment functionals, word evaluation, the semicircular oracle, file IO."""
 
+import functools
 import itertools
 import json
 import random
@@ -157,12 +158,17 @@ class TestExpectWord:
             assert expect_word(E, relabelled, assign2) == expect_word(E, w, assign)
 
 
+# The enumerator keeps nothing between calls; the sums below ask for the
+# same few sizes hundreds of times.
+nc_partitions = functools.cache(enumerate_nc_partitions)
+
+
 def pair_partition_sum(labels, covs):
     """Sum over non-crossing partitions into pairs with equal labels."""
     total = Fraction(0)
     if len(labels) % 2:
         return total
-    for part in enumerate_nc_partitions(len(labels)):
+    for part in nc_partitions(len(labels)):
         blocks = part.blocks()
         if any(len(b) != 2 for b in blocks):
             continue
