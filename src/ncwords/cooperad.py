@@ -10,10 +10,14 @@ The full decomposition runs over all canonical surjections of the
 alphabet; the non-crossing variant, found by the pruned search, keeps
 exactly the terms whose unreduced image is a non-crossing word and is
 only defined for non-crossing input words.  The private ``_term``
-computes a term on int tuples; only ``decompose_along`` builds words.
+computes a term on int tuples; ``_build_term`` wraps it in words for
+``decompose_along`` and the two decompositions, which share each
+block's inner word among the terms of one call.
 
 ``check_coassociativity`` verifies, chain by chain, that composing
 ``_term`` in two stages does not depend on the order of the stages.
+Chains share most of their sub-terms, so one check computes each
+distinct one once, in bounded memos that it drops on return.
 Crossing words generate a coideal: every term of their decomposition
 has a crossing outer or a crossing inner word, which is what
 ``crossing_ideal_witness`` tests and what makes the non-crossing variant
@@ -23,6 +27,7 @@ well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .surjections import (
@@ -44,6 +49,10 @@ from .words import (
 )
 
 Seq = tuple[int, ...]
+
+# Entries per memo of one coassociativity check: more than the distinct
+# sub-terms of any k=5 word, and a bound on what a long word can hold.
+_MEMO_SIZE = 4096
 
 
 class CrossingWordError(ValueError):
@@ -80,14 +89,25 @@ def decompose_along(w: Word, f: CanonicalSurjection) -> DecompositionTerm:
         # A block the word misses has no inner word; restrict raises.
         for block in f.blocks():
             restrict(w, [e - 1 for e in block])
+    return _build_term(w, f, {})
+
+
+def _build_term(w: Word, f: CanonicalSurjection, inner_words: dict[Seq, Word]) -> DecompositionTerm:
+    """Wrap the term of a pangrammatic ``w`` along ``f`` in words.  The
+    inner word of a block depends only on the block's letters, so
+    ``inner_words`` keeps one per block for the terms of one word."""
     outer, blocks = _term(w.seq, f.assignment)
-    # Derived display names: block {2,3} becomes letter "b23".
-    names = tuple("b" + "".join(str(x + 1) for x in ids) for ids, _ in blocks)
-    return DecompositionTerm(
-        f,
-        Word(Alphabet(names), outer),
-        tuple(Word(w.alphabet.subset(ids), inner) for ids, inner in blocks),
-    )
+    # Derived display names: block {2,3} becomes letter "b23"; from ten
+    # letters on, {1,2} becomes "b1_2", which {12} ("b12") cannot match.
+    sep = "" if f.n < 10 else "_"
+    names = tuple("b" + sep.join(str(x + 1) for x in ids) for ids, _ in blocks)
+    inner = []
+    for ids, seq in blocks:
+        iw = inner_words.get(ids)
+        if iw is None:
+            iw = inner_words[ids] = Word(w.alphabet.subset(ids), seq)
+        inner.append(iw)
+    return DecompositionTerm(f, Word(Alphabet(names), outer), tuple(inner))
 
 
 def _check_basis_word(w: Word) -> None:
@@ -101,7 +121,8 @@ def decompose(w: Word) -> list[DecompositionTerm]:
     """All decomposition terms of a reduced pangrammatic word, in the
     deterministic canonical surjection order."""
     _check_basis_word(w)
-    return [decompose_along(w, f) for f in enumerate_canonical_surjections(w.alphabet.size)]
+    inner_words: dict[Seq, Word] = {}
+    return [_build_term(w, f, inner_words) for f in enumerate_canonical_surjections(w.alphabet.size)]
 
 
 def decompose_noncrossing(w: Word) -> list[DecompositionTerm]:
@@ -112,8 +133,9 @@ def decompose_noncrossing(w: Word) -> list[DecompositionTerm]:
     if not is_noncrossing(w):
         raise CrossingWordError(f"word {render_word(w)!r} is crossing")
     k = w.alphabet.size
+    inner_words: dict[Seq, Word] = {}
     return [
-        decompose_along(w, CanonicalSurjection(k, max(a), a))
+        _build_term(w, CanonicalSurjection(k, max(a), a), inner_words)
         for a in nc_image_assignments(w.seq, k)
     ]
 
@@ -150,35 +172,53 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
     With ``noncrossing`` set, both routes additionally filter on
     non-crossing unreduced images, and the filters themselves must agree
     chain by chain; the input word must then be non-crossing.
+
+    ``_term`` is a pure function of two int tuples, and many chains ask
+    for the same term (every singleton block, for one, gives the same
+    one), so the check computes each distinct term once: the outer-first
+    terms, the inner-first terms along ``g . f`` and, per block, the
+    relabelled restriction of ``f`` with its term and non-crossing
+    filter.  The memos belong to the call and keep at most
+    ``_MEMO_SIZE`` entries each, least recently used first out, so no
+    result outlives the call and memory stays bounded on long words.
     """
     _check_basis_word(w)
     if noncrossing and not is_noncrossing(w):
         raise CrossingWordError(f"word {render_word(w)!r} is crossing")
     s = w.seq
+    term = lru_cache(maxsize=_MEMO_SIZE)(_term)
+
+    @lru_cache(maxsize=_MEMO_SIZE)
+    def part(wa: Seq, fb: Seq) -> tuple[Seq, Seq, tuple[Seq, ...], bool]:
+        # One inner-first block: its word ``wa`` along f on the block,
+        # given as the block's values ``fb`` of f, relabelled 1, 2, ...
+        # in order; also which f-blocks the inner words belong to.
+        ts = tuple(sorted(set(fb)))
+        rank = {t: r for r, t in enumerate(ts, start=1)}
+        fu = tuple(rank[t] for t in fb)
+        alive = not noncrossing or is_noncrossing_seq([fu[x] for x in wa])
+        mid, sub_blocks = term(wa, fu)
+        return ts, mid, tuple(inner for _, inner in sub_blocks), alive
+
     for f in enumerate_canonical_surjections(w.alphabet.size):
         fa = f.assignment
-        outer_f, blocks_f = _term(s, fa)
+        outer_f, blocks_f = term(s, fa)
         inners_f = [inner for _, inner in blocks_f]
         f_alive = not noncrossing or is_noncrossing_seq([fa[x] for x in s])
         for g in enumerate_canonical_surjections(f.m):
             ga = g.assignment
-            lhs_outer, lhs_blocks = _term(outer_f, ga)
+            lhs_outer, lhs_blocks = term(outer_f, ga)
             # Inner-first: along g . f, then each block's word along f on it.
             h = tuple(ga[t - 1] for t in fa)
-            rhs_outer, rhs_blocks = _term(s, h)
+            rhs_outer, rhs_blocks = term(s, h)
             rhs_mids = []
             rhs_inners: list[Seq] = [()] * f.m
             parts_alive = True
             for ids, wa in rhs_blocks:
-                # f on the block, its values relabelled 1, 2, ... in order
-                ts = sorted({fa[x] for x in ids})
-                rank = {t: r for r, t in enumerate(ts, start=1)}
-                fu = [rank[fa[x]] for x in ids]
-                if noncrossing and not is_noncrossing_seq([fu[x] for x in wa]):
-                    parts_alive = False
-                mid, sub_blocks = _term(wa, fu)
+                ts, mid, inners, alive = part(wa, tuple(fa[x] for x in ids))
+                parts_alive = parts_alive and alive
                 rhs_mids.append(mid)
-                for t, (_, inner) in zip(ts, sub_blocks):
+                for t, inner in zip(ts, inners):
                     rhs_inners[t - 1] = inner
 
             if noncrossing:

@@ -6,7 +6,9 @@ term on small bases; the structural laws (coassociativity, the crossing
 ideal, counit shape, equivariance under relabelling) are checked over
 small enumerated bases.  The filter-agreement test records that selecting
 terms by crossing of the unreduced image never differs from selecting
-by the reduced image.
+by the reduced image.  The memo tests corrupt or count the term kernel
+to show that the coassociativity check's per-call sharing neither hides
+a fault nor outlives the call.
 """
 
 import itertools
@@ -33,6 +35,8 @@ from ncwords import (
     parse_word,
     reduce_word,
 )
+from ncwords import cooperad
+from ncwords.words import restrict_seq
 
 from oracles import BELL, oracle_decomposition
 
@@ -66,6 +70,14 @@ class TestDecomposeAlong:
         assert decompose_along(w, CanonicalSurjection.constant(2)).inner == (w,)
         with pytest.raises(EmptyRestrictionError, match=r"letter ids \[1\]"):
             decompose_along(w, CanonicalSurjection.identity(2))
+
+    def test_block_names_stay_distinct_from_ten_letters_on(self):
+        # {1,2} and {12} both read "b12" without a separator
+        w = Word(Alphabet.numeric(12), tuple(range(12)))
+        f = CanonicalSurjection.from_blocks([(1, 2), (12,)] + [(i,) for i in range(3, 12)])
+        names = decompose_along(w, f).outer.alphabet.names
+        assert names[0] == "b1_2" and names[-1] == "b12"
+        assert len(set(names)) == len(names)
 
 
 class TestDecompose:
@@ -290,3 +302,61 @@ class TestCoassociativity:
     def test_rejects_non_basis_words(self):
         with pytest.raises(ValueError):
             check_coassociativity(parse_word("aa"))
+
+
+def unreduced_inners(real):
+    def term(seq, f):
+        outer, blocks = real(seq, f)
+        return outer, tuple((ids, restrict_seq(seq, ids)) for ids, _ in blocks)
+
+    return term
+
+
+def swapped_inners(real):
+    # the inner words of the first two blocks trade places when the
+    # blocks have the same size, so every id stays in range
+    def term(seq, f):
+        outer, blocks = real(seq, f)
+        if len(blocks) >= 2 and len(blocks[0][0]) == len(blocks[1][0]):
+            (a, wa), (b, wb), *rest = blocks
+            return outer, ((a, wb), (b, wa), *rest)
+        return outer, blocks
+
+    return term
+
+
+class TestCoassociativityMemo:
+    """``check_coassociativity`` computes each distinct kernel term once
+    per call; these tests show that this neither hides a faulty kernel
+    nor carries anything from one call to the next."""
+
+    # Calls to ``_term`` made by one check of any k=5 word when every
+    # chain computed its terms afresh.
+    UNSHARED_CALLS_K5 = 1585
+
+    @pytest.mark.parametrize("noncrossing", [False, True])
+    @pytest.mark.parametrize("corrupt", [unreduced_inners, swapped_inners])
+    def test_corrupted_kernel_fails_the_check(self, monkeypatch, corrupt, noncrossing):
+        w = parse_word("abacdefe")
+        assert check_coassociativity(w, noncrossing)
+        monkeypatch.setattr(cooperad, "_term", corrupt(cooperad._term))
+        assert not check_coassociativity(w, noncrossing)
+
+    @pytest.mark.parametrize("noncrossing", [False, True])
+    def test_no_term_outlives_a_call(self, monkeypatch, noncrossing):
+        real = cooperad._term
+        calls = []
+
+        def counting(seq, f):
+            calls.append((seq, f))
+            return real(seq, f)
+
+        monkeypatch.setattr(cooperad, "_term", counting)
+        w = parse_word("abcbdbeb")
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert check_coassociativity(w, noncrossing)
+            counts.append(len(calls))
+        assert 0 < counts[0] == counts[1] < self.UNSHARED_CALLS_K5
+        assert len(set(calls)) == len(calls)
