@@ -16,7 +16,6 @@ from .words import (
     EmptyRestrictionError,
     Word,
     apply_map,
-    ascending_word,
     enumerate_nc_basis,
     enumerate_word_basis,
     is_noncrossing,
@@ -49,8 +48,6 @@ from .probability import (
     MissingMomentError,
     MomentFunctional,
     MomentTableError,
-    expect_word,
-    first_occurrence_order,
     format_rational,
     load_moments,
     parse_rational,
@@ -80,7 +77,6 @@ __all__ = [
     "MomentTableError",
     "Word",
     "apply_map",
-    "ascending_word",
     "boolean_cumulant",
     "check_coassociativity",
     "classical_cumulant",
@@ -92,8 +88,6 @@ __all__ = [
     "enumerate_nc_basis",
     "enumerate_nc_partitions",
     "enumerate_word_basis",
-    "expect_word",
-    "first_occurrence_order",
     "format_rational",
     "format_term",
     "free_cumulant",

@@ -12,12 +12,7 @@ import json
 import random
 import sys
 
-from .cooperad import (
-    check_coassociativity,
-    decompose,
-    decompose_noncrossing,
-    format_term,
-)
+from .cooperad import _iter_terms, check_coassociativity, format_term
 from .cumulants import (
     CumulantTable,
     boolean_cumulant,
@@ -184,7 +179,8 @@ def _run_moments(ns: argparse.Namespace) -> int:
                 f"cumulant table {ns.cumulants}: each entry needs 'order' and 'value'"
             )
         n = entry["order"]
-        if not isinstance(n, int) or n < 1:
+        # JSON true and false load as bool, a subclass of int.
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise MomentTableError(f"cumulant table {ns.cumulants}: bad order {n!r}")
         if n in by_order:
             raise MomentTableError(f"cumulant table {ns.cumulants}: duplicate order {n}")
@@ -202,44 +198,40 @@ def _run_moments(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _random_words(ns: argparse.Namespace, rng: random.Random):
+    for _ in range(ns.samples):
+        k = rng.randint(1, ns.alphabet_size)
+        yield random_basis_word(rng, k, max(k, ns.max_len), noncrossing=ns.nc)
+
+
 def _run_coassoc(ns: argparse.Namespace) -> int:
     if ns.alphabet_size < 1:
         raise ValueError("--alphabet-size must be >= 1")
     if ns.max_len < 1:
         raise ValueError("--max-len must be >= 1")
     label = "nc cooperad" if ns.nc else "word cooperad"
-    if ns.samples is not None:
+    if ns.samples is None:
+        basis = enumerate_nc_basis if ns.nc else enumerate_word_basis
+        words = (
+            w for k in range(1, ns.alphabet_size + 1) for w in basis(Alphabet.numeric(k), ns.max_len)
+        )
+        what, tail = "words", ""
+    else:
         if ns.samples < 1:
             raise ValueError("--samples must be >= 1")
-        rng = random.Random(ns.seed)
-        for _ in range(ns.samples):
-            k = rng.randint(1, ns.alphabet_size)
-            max_len = max(k, ns.max_len)
-            w = random_basis_word(rng, k, max_len, noncrossing=ns.nc)
-            if not check_coassociativity(w, noncrossing=ns.nc):
-                print(f"FAIL coassociativity ({label}): word {render_word(w)}")
-                return 1
-        print(
-            f"PASS coassociativity ({label}): {ns.samples} random words, "
-            f"alphabet size <= {ns.alphabet_size}, length <= {ns.max_len}, seed {ns.seed}"
-        )
-        return 0
+        # Drawn one at a time between checks, so that a sampler give-up
+        # still follows the checks of the words drawn before it.
+        words = _random_words(ns, random.Random(ns.seed))
+        what, tail = "random words", f", seed {ns.seed}"
     total = 0
-    for k in range(1, ns.alphabet_size + 1):
-        alphabet = Alphabet.numeric(k)
-        words = (
-            enumerate_nc_basis(alphabet, ns.max_len)
-            if ns.nc
-            else enumerate_word_basis(alphabet, ns.max_len)
-        )
-        for w in words:
-            if not check_coassociativity(w, noncrossing=ns.nc):
-                print(f"FAIL coassociativity ({label}): word {render_word(w)}")
-                return 1
-            total += 1
+    for w in words:
+        if not check_coassociativity(w, noncrossing=ns.nc):
+            print(f"FAIL coassociativity ({label}): word {render_word(w)}")
+            return 1
+        total += 1
     print(
-        f"PASS coassociativity ({label}): {total} words, "
-        f"alphabet size <= {ns.alphabet_size}, length <= {ns.max_len}"
+        f"PASS coassociativity ({label}): {total} {what}, "
+        f"alphabet size <= {ns.alphabet_size}, length <= {ns.max_len}{tail}"
     )
     return 0
 
@@ -262,8 +254,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
     if ns.command == "decompose":
         w = parse_word(ns.word)
         prefer_chars = "," not in ns.word
-        terms = decompose_noncrossing(w) if ns.nc else decompose(w)
-        for term in terms:
+        # Each term is printed as soon as it is built; none is kept.
+        for term in _iter_terms(w, noncrossing=ns.nc):
             print(format_term(term, prefer_chars))
         return 0
     if ns.command == "coassoc":

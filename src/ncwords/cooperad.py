@@ -11,8 +11,9 @@ alphabet; the non-crossing variant, found by the pruned search, keeps
 exactly the terms whose unreduced image is a non-crossing word and is
 only defined for non-crossing input words.  The private ``_term``
 computes a term on int tuples; ``_build_term`` wraps it in words for
-``decompose_along`` and the two decompositions, which share each
-block's inner word among the terms of one call.
+``decompose_along`` and for ``_iter_terms``, the one term generator
+behind the two decompositions and the ``decompose`` command, which
+shares each block's inner word among the terms of one call.
 
 ``check_coassociativity`` verifies, chain by chain, that composing
 ``_term`` in two stages does not depend on the order of the stages.
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .surjections import (
     CanonicalSurjection,
+    _block_ids,
     enumerate_canonical_surjections,
     nc_image_assignments,
 )
@@ -74,11 +76,8 @@ def _term(seq: Sequence[int], f: Sequence[int]) -> tuple[Seq, tuple[tuple[Seq, S
     ``x`` goes to block ``f[x]``, 1-based): the reduced image on block ids
     ``0, 1, ...``, and per block its letter ids and the reduced
     restriction of ``seq`` to them.  Every block must meet ``seq``."""
-    blocks: list[list[int]] = [[] for _ in range(max(f))]
-    for x, b in enumerate(f):
-        blocks[b - 1].append(x)
     outer = reduce_seq([f[x] - 1 for x in seq])
-    return outer, tuple((ids, reduce_seq(restrict_seq(seq, ids))) for ids in map(tuple, blocks))
+    return outer, tuple((ids, reduce_seq(restrict_seq(seq, ids))) for ids in _block_ids(f))
 
 
 def decompose_along(w: Word, f: CanonicalSurjection) -> DecompositionTerm:
@@ -110,34 +109,43 @@ def _build_term(w: Word, f: CanonicalSurjection, inner_words: dict[Seq, Word]) -
     return DecompositionTerm(f, Word(Alphabet(names), outer), tuple(inner))
 
 
-def _check_basis_word(w: Word) -> None:
+def _check_basis_word(w: Word, noncrossing: bool = False) -> None:
+    """Raise unless ``w`` is pangrammatic, reduced and, with
+    ``noncrossing`` set, non-crossing (:class:`CrossingWordError`)."""
     if not is_pangrammatic(w):
         raise ValueError(f"word {render_word(w)!r} does not use every alphabet letter")
     if not is_reduced(w):
         raise ValueError(f"word {render_word(w)!r} is not reduced")
+    if noncrossing and not is_noncrossing(w):
+        raise CrossingWordError(f"word {render_word(w)!r} is crossing")
+
+
+def _iter_terms(w: Word, noncrossing: bool) -> Iterator[DecompositionTerm]:
+    """The terms of :func:`decompose` or, with ``noncrossing`` set, of
+    :func:`decompose_noncrossing`, one at a time.  The word is checked
+    before the first term."""
+    _check_basis_word(w, noncrossing)
+    k = w.alphabet.size
+    if noncrossing:
+        fs = (CanonicalSurjection(k, max(a), a) for a in nc_image_assignments(w.seq, k))
+    else:
+        fs = enumerate_canonical_surjections(k)
+    inner_words: dict[Seq, Word] = {}
+    for f in fs:
+        yield _build_term(w, f, inner_words)
 
 
 def decompose(w: Word) -> list[DecompositionTerm]:
     """All decomposition terms of a reduced pangrammatic word, in the
     deterministic canonical surjection order."""
-    _check_basis_word(w)
-    inner_words: dict[Seq, Word] = {}
-    return [_build_term(w, f, inner_words) for f in enumerate_canonical_surjections(w.alphabet.size)]
+    return list(_iter_terms(w, noncrossing=False))
 
 
 def decompose_noncrossing(w: Word) -> list[DecompositionTerm]:
     """The non-crossing decomposition: terms whose unreduced image is a
     non-crossing word, in the order of :func:`decompose`.  Only defined
     for non-crossing input."""
-    _check_basis_word(w)
-    if not is_noncrossing(w):
-        raise CrossingWordError(f"word {render_word(w)!r} is crossing")
-    k = w.alphabet.size
-    inner_words: dict[Seq, Word] = {}
-    return [
-        _build_term(w, CanonicalSurjection(k, max(a), a), inner_words)
-        for a in nc_image_assignments(w.seq, k)
-    ]
+    return list(_iter_terms(w, noncrossing=True))
 
 
 def crossing_ideal_witness(term: DecompositionTerm) -> bool:
@@ -182,9 +190,7 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
     ``_MEMO_SIZE`` entries each, least recently used first out, so no
     result outlives the call and memory stays bounded on long words.
     """
-    _check_basis_word(w)
-    if noncrossing and not is_noncrossing(w):
-        raise CrossingWordError(f"word {render_word(w)!r} is crossing")
+    _check_basis_word(w, noncrossing)
     s = w.seq
     term = lru_cache(maxsize=_MEMO_SIZE)(_term)
 

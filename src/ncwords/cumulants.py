@@ -4,11 +4,14 @@ The central operation is the word cumulant: for a reduced pangrammatic
 non-crossing word ``w`` with one variable per letter, it is defined by
 the triangular system
 
-    expect_word(E, w, assign)
+    E(v_1 v_2 ... v_k)
         = sum over canonical surjections f of the alphabet
               with a non-crossing unreduced image f(w)
           of the product over blocks B of
               word_cumulant(reduce(w restricted to B), assign on B)
+
+where ``v_i`` is the variable assigned to the ``i``-th letter of ``w``
+in order of first occurrence.
 
 The constant surjection always survives the image filter and contributes
 the cumulant of ``w`` itself, so the system solves by recursion on the
@@ -45,18 +48,10 @@ from math import comb
 from operator import mul
 from typing import Iterator, Sequence
 
-from .probability import MomentFunctional, first_occurrence_order
-from .surjections import nc_image_assignments
-from .words import (
-    Word,
-    is_noncrossing,
-    is_pangrammatic,
-    is_reduced,
-    reduce_seq,
-    render_word,
-    restrict_seq,
-)
-from .cooperad import CrossingWordError
+from .probability import MomentFunctional
+from .surjections import _block_ids, nc_image_assignments
+from .words import Word, reduce_seq, restrict_seq
+from .cooperad import _check_basis_word
 
 Shape = tuple[int, ...]
 # One plan term: per block, its reduced canonical sub-shape and the
@@ -81,11 +76,11 @@ def _plan(shape: Shape) -> tuple[Term, ...]:
     # plans small.
     by_block: dict[tuple[int, ...], tuple[Shape, tuple[int, ...]]] = {}
     for f in nc_image_assignments(shape, max(shape) + 1):
-        if max(f) == 1:
+        blocks = _block_ids(f)
+        if len(blocks) == 1:
             continue
         term = []
-        for b in range(1, max(f) + 1):
-            ids = tuple(letter for letter, fb in enumerate(f) if fb == b)
+        for ids in blocks:
             if ids not in by_block:
                 # A canonical shape's letters first occur in increasing
                 # order: the restriction is canonical, letter r is ids[r].
@@ -112,22 +107,24 @@ class CumulantTable:
         self._memo: dict[tuple[Shape, tuple[str, ...]], Fraction] = {}
 
     def word_cumulant(self, w: Word, assign: Sequence[str]) -> Fraction:
-        """The cumulant of a reduced pangrammatic non-crossing word."""
+        """The cumulant of a reduced pangrammatic non-crossing word.
+
+        ``assign[i]`` names the variable of letter id ``i``.  The moment
+        the recursion reads for ``w`` takes each letter's variable once,
+        in order of the letters' first occurrence in ``w``: the word
+        ``ba`` with ``a -> x`` and ``b -> y`` reads ``E(y x)``.
+        """
         assign = tuple(assign)
         if len(assign) != w.alphabet.size:
             raise ValueError(
                 f"assignment names {len(assign)} variables for an alphabet of size {w.alphabet.size}"
             )
-        if not is_pangrammatic(w):
-            raise ValueError(f"word {render_word(w)!r} does not use every alphabet letter")
-        if not is_reduced(w):
-            raise ValueError(f"word {render_word(w)!r} is not reduced")
-        if not is_noncrossing(w):
-            raise CrossingWordError(f"word {render_word(w)!r} is crossing")
-        ranks = first_occurrence_order(w)
-        by_rank = sorted(range(len(ranks)), key=ranks.__getitem__)
-        shape = tuple(ranks[x] - 1 for x in w.seq)
-        return self._cumulant(shape, tuple(assign[i] for i in by_rank))
+        _check_basis_word(w, noncrossing=True)
+        # Letter ids in first-occurrence order, each mapped to its rank.
+        rank: dict[int, int] = {}
+        for x in w.seq:
+            rank.setdefault(x, len(rank))
+        return self._cumulant(tuple(rank[x] for x in w.seq), tuple(assign[x] for x in rank))
 
     def _cumulant(self, shape: Shape, assign: tuple[str, ...]) -> Fraction:
         key = (shape, assign)

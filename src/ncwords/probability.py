@@ -5,11 +5,6 @@ fixed set of variables.  ``E(1) = 1`` always holds; any other moment the
 functional cannot produce is a hard error (:class:`MissingMomentError`)
 rather than a default value.
 
-``expect_word`` evaluates a functional on the monomial a word induces:
-letters are ranked by first occurrence and each letter contributes its
-assigned variable exactly once, in rank order.  So the word ``bab`` with
-``a -> x`` and ``b -> y`` evaluates to ``E(y x)``.
-
 Moment tables are loaded from JSON of the form::
 
     {"vars": ["a", "b"],
@@ -25,8 +20,6 @@ import json
 import re
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
-
-from .words import Word, is_pangrammatic
 
 
 class MissingMomentError(LookupError):
@@ -122,32 +115,6 @@ class MomentFunctional:
                 self._rule_cache[factors] = value
                 return value
         raise MissingMomentError(factors)
-
-
-def first_occurrence_order(w: Word) -> tuple[int, ...]:
-    """Rank the letters of a pangrammatic word by first occurrence:
-    entry ``i`` is the 1-based rank of letter id ``i``."""
-    if not is_pangrammatic(w):
-        raise ValueError("cannot rank letters of a word that skips part of its alphabet")
-    rank: dict[int, int] = {}
-    for x in w.seq:
-        if x not in rank:
-            rank[x] = len(rank) + 1
-    return tuple(rank[i] for i in range(w.alphabet.size))
-
-
-def expect_word(E: MomentFunctional, w: Word, assign: Sequence[str]) -> Fraction:
-    """Evaluate ``E`` on the monomial induced by a word.
-
-    ``assign[i]`` names the variable for letter id ``i``.  Letters enter
-    the monomial once each, ordered by first occurrence in the word.
-    """
-    if len(assign) != w.alphabet.size:
-        raise ValueError(
-            f"assignment names {len(assign)} variables for an alphabet of size {w.alphabet.size}"
-        )
-    ranks = first_occurrence_order(w)
-    return E.expect(tuple(assign[i] for i in sorted(range(len(ranks)), key=ranks.__getitem__)))
 
 
 def semicircular_family(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from .words import is_noncrossing_seq
 
@@ -43,46 +43,9 @@ class CanonicalSurjection:
         if seen != self.m:
             raise ValueError(f"assignment {self.assignment} is not onto [{self.m}]")
 
-    @classmethod
-    def identity(cls, n: int) -> "CanonicalSurjection":
-        return cls(n, n, tuple(range(1, n + 1)))
-
-    @classmethod
-    def constant(cls, n: int) -> "CanonicalSurjection":
-        return cls(n, 1, (1,) * n)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "CanonicalSurjection":
-        """Build from a family of disjoint blocks covering ``[n]``."""
-        blist = [sorted(b) for b in blocks]
-        if any(not b for b in blist):
-            raise ValueError("empty block")
-        blist.sort(key=lambda b: b[0])
-        assign: dict[int, int] = {}
-        for i, b in enumerate(blist, start=1):
-            for e in b:
-                if e in assign:
-                    raise ValueError(f"element {e} appears in two blocks")
-                assign[e] = i
-        n = len(assign)
-        if sorted(assign) != list(range(1, n + 1)):
-            raise ValueError(f"blocks {blist} do not cover an initial segment [n]")
-        return cls(n, len(blist), tuple(assign[e] for e in range(1, n + 1)))
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Preimages ``f^{-1}(1), ..., f^{-1}(m)`` as sorted tuples."""
-        out: list[list[int]] = [[] for _ in range(self.m)]
-        for e, v in enumerate(self.assignment, start=1):
-            out[v - 1].append(e)
-        return tuple(tuple(b) for b in out)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.m == self.n
-
-    @property
-    def is_constant(self) -> bool:
-        return self.m == 1
+        return tuple(tuple(x + 1 for x in ids) for ids in _block_ids(self.assignment))
 
     def block_notation(self) -> str:
         """Render as blocks ordered by minimum, e.g. ``{1,3}{2}``."""
@@ -90,6 +53,40 @@ class CanonicalSurjection:
 
     def __str__(self) -> str:
         return self.block_notation()
+
+
+def _block_ids(f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The 0-based elements of each block of the canonical assignment
+    ``f``, block ``1`` first."""
+    blocks: list[list[int]] = [[] for _ in range(max(f))]
+    for x, b in enumerate(f):
+        blocks[b - 1].append(x)
+    return tuple(map(tuple, blocks))
+
+
+def _restricted_growth(k: int, keep: Callable[[list[int], int], bool]) -> list[tuple[int, ...]]:
+    """The restricted growth strings of length ``k`` whose every prefix
+    passes ``keep``, sorted by codomain size and then assignment.
+
+    A depth-first search sets entry ``j`` of ``f`` to each value from
+    ``1`` to one more than the prefix maximum and descends only when
+    ``keep(f, j)`` holds for the prefix ``f[:j + 1]``.
+    """
+    out: list[tuple[int, ...]] = []
+    f = [0] * k
+
+    def grow(j: int, mx: int) -> None:
+        if j == k:
+            out.append(tuple(f))
+            return
+        for v in range(1, mx + 2):
+            f[j] = v
+            if keep(f, j):
+                grow(j + 1, max(mx, v))
+
+    grow(0, 0)
+    out.sort(key=lambda a: (max(a), a))
+    return out
 
 
 # Cached: a coassociativity check asks for the same few sizes again and again.
@@ -100,53 +97,26 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    seqs: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def grow(mx: int) -> None:
-        if len(prefix) == n:
-            seqs.append(tuple(prefix))
-            return
-        for v in range(1, mx + 2):
-            prefix.append(v)
-            grow(max(mx, v))
-            prefix.pop()
-
-    grow(0)
-    seqs.sort(key=lambda a: (max(a), a))
-    return tuple(CanonicalSurjection(n, max(a), a) for a in seqs)
+    return tuple(
+        CanonicalSurjection(n, max(a), a) for a in _restricted_growth(n, lambda f, j: True)
+    )
 
 
 def nc_image_assignments(seq: Sequence[int], k: int) -> list[tuple[int, ...]]:
     """The canonical surjections of the letters ``0..k-1`` of ``seq``
     whose image of ``seq`` is non-crossing, as assignment tuples.
 
-    Entry ``i`` of an assignment is the 1-based block of letter ``i``.  A
-    depth-first search grows restricted growth strings one letter at a
-    time and drops a prefix as soon as the image of ``seq``, restricted
-    to the letters assigned so far, crosses: that image is a subsequence
-    of every completion's image, and a subsequence of a non-crossing
+    Entry ``i`` of an assignment is the 1-based block of letter ``i``.  The
+    search drops a prefix as soon as the image of ``seq``, restricted to
+    the letters assigned so far, crosses: that image is a subsequence of
+    every completion's image, and a subsequence of a non-crossing
     sequence is non-crossing.  Results come in the order of
     :func:`enumerate_canonical_surjections`: codomain size, then
     assignment.
     """
-    out: list[tuple[int, ...]] = []
-    f = [0] * k
     # upto[j]: the letters of seq that are at most j, in order.
     upto = [[x for x in seq if x <= j] for j in range(k)]
-
-    def grow(j: int, mx: int) -> None:
-        if j == k:
-            out.append(tuple(f))
-            return
-        for v in range(1, mx + 2):
-            f[j] = v
-            if is_noncrossing_seq([f[x] for x in upto[j]]):
-                grow(j + 1, max(mx, v))
-
-    grow(0, 0)
-    out.sort(key=lambda a: (max(a), a))
-    return out
+    return _restricted_growth(k, lambda f, j: is_noncrossing_seq([f[x] for x in upto[j]]))
 
 
 def enumerate_nc_partitions(n: int) -> tuple[CanonicalSurjection, ...]:

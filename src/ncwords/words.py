@@ -56,10 +56,6 @@ class Alphabet:
             raise ValueError(f"letter names must be nonempty and comma-free: {self.names}")
 
     @classmethod
-    def of(cls, names: Iterable[str]) -> "Alphabet":
-        return cls(tuple(names))
-
-    @classmethod
     def numeric(cls, k: int) -> "Alphabet":
         """The alphabet ``1, 2, ..., k`` with numeric display names."""
         if k < 1:
@@ -349,13 +345,6 @@ def enumerate_nc_basis(alphabet: Alphabet, max_len: int | None = None) -> list[W
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     return _basis_dfs(alphabet, max_len, noncrossing=True)
-
-
-def ascending_word(n: int) -> Word:
-    """The word ``1, 2, ..., n`` on the numeric alphabet of size ``n``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Word(Alphabet.numeric(n), tuple(range(n)))
 
 
 def peak_word(n: int) -> Word:

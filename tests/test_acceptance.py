@@ -16,7 +16,6 @@ from ncwords import (
     Alphabet,
     CumulantTable,
     Word,
-    ascending_word,
     boolean_cumulant,
     check_coassociativity,
     classical_cumulant,

@@ -364,13 +364,16 @@ class TestMomentsCommand:
     @pytest.mark.parametrize("payload", [
         "nope {",
         {"cumulants": [{"order": 0, "value": "1/1"}]},
+        {"cumulants": [{"order": True, "value": "1/1"}]},
         {"cumulants": [{"order": 1, "value": "1/1"}, {"order": 1, "value": "2/1"}]},
         {"cumulants": [{"order": 1}]},
         {"wrong": []},
     ])
     def test_malformed_tables(self, capsys, tmp_path, payload):
         path = self.write(tmp_path, payload)
-        assert run(capsys, "moments", "--cumulants", path, "--up-to", "1")[0] == 1
+        code, out, err = run(capsys, "moments", "--cumulants", path, "--up-to", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTopLevel:

@@ -46,7 +46,7 @@ FOUR_LETTER = "a1,a2,a1,a3"
 class TestDecomposeAlong:
     def test_constant_keeps_word_whole(self):
         w = parse_word(FOUR_LETTER)
-        term = decompose_along(w, CanonicalSurjection.constant(3))
+        term = decompose_along(w, CanonicalSurjection(3, 1, (1, 1, 1)))
         assert len(term.outer) == 1
         assert term.outer.alphabet.size == 1
         assert term.inner == (w,)
@@ -59,7 +59,7 @@ class TestDecomposeAlong:
         assert [iw.seq for iw in term.inner] == [(0,), (0, 1)]
 
     def test_identity_splits_into_letters(self):
-        term = decompose_along(parse_word("ab"), CanonicalSurjection.identity(2))
+        term = decompose_along(parse_word("ab"), CanonicalSurjection(2, 2, (1, 2)))
         assert term.outer.seq == (0, 1)
         assert term.outer.alphabet.names == ("b1", "b2")
         assert [str(iw) for iw in term.inner] == ["a", "b"]
@@ -67,14 +67,15 @@ class TestDecomposeAlong:
     def test_block_missed_by_the_word(self):
         # only a block with no letter of the word is an error
         w = Word(Alphabet.numeric(2), (0,))
-        assert decompose_along(w, CanonicalSurjection.constant(2)).inner == (w,)
+        assert decompose_along(w, CanonicalSurjection(2, 1, (1, 1))).inner == (w,)
         with pytest.raises(EmptyRestrictionError, match=r"letter ids \[1\]"):
-            decompose_along(w, CanonicalSurjection.identity(2))
+            decompose_along(w, CanonicalSurjection(2, 2, (1, 2)))
 
     def test_block_names_stay_distinct_from_ten_letters_on(self):
         # {1,2} and {12} both read "b12" without a separator
         w = Word(Alphabet.numeric(12), tuple(range(12)))
-        f = CanonicalSurjection.from_blocks([(1, 2), (12,)] + [(i,) for i in range(3, 12)])
+        # blocks {1,2}, {3}, ..., {11}, {12}
+        f = CanonicalSurjection(12, 11, (1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11))
         names = decompose_along(w, f).outer.alphabet.names
         assert names[0] == "b1_2" and names[-1] == "b12"
         assert len(set(names)) == len(names)
@@ -184,8 +185,8 @@ class TestCounit:
         words += enumerate_nc_basis(Alphabet.numeric(4))
         for w in words:
             terms = decompose(w)
-            constant = [t for t in terms if t.surjection.is_constant]
-            identity = [t for t in terms if t.surjection.is_identity]
+            constant = [t for t in terms if t.surjection.m == 1]
+            identity = [t for t in terms if t.surjection.m == t.surjection.n]
             assert len(constant) == 1 and len(identity) == 1
             assert constant[0].inner == (w,)
             assert constant[0].outer.alphabet.size == 1
@@ -198,9 +199,9 @@ class TestCrossingIdeal:
         w = parse_word(FOUR_LETTER)
         crossing_term = decompose_along(w, CanonicalSurjection(3, 2, (1, 2, 2)))
         assert crossing_ideal_witness(crossing_term)
-        clean_term = decompose_along(parse_word("ab"), CanonicalSurjection.identity(2))
+        clean_term = decompose_along(parse_word("ab"), CanonicalSurjection(2, 2, (1, 2)))
         assert not crossing_ideal_witness(clean_term)
-        inner_crossing = decompose_along(parse_word("abab"), CanonicalSurjection.constant(2))
+        inner_crossing = decompose_along(parse_word("abab"), CanonicalSurjection(2, 1, (1, 1)))
         assert crossing_ideal_witness(inner_crossing)
 
     def test_every_term_of_a_crossing_word_witnesses(self):
@@ -213,11 +214,11 @@ class TestCrossingIdeal:
 
 class TestFormatTerm:
     def test_single_char_rendering(self):
-        term = decompose_along(parse_word("ab"), CanonicalSurjection.constant(2))
+        term = decompose_along(parse_word("ab"), CanonicalSurjection(2, 1, (1, 1)))
         assert format_term(term) == "f={1,2} | outer=b12 | inner=[ab]"
 
     def test_comma_rendering(self):
-        term = decompose_along(parse_word("ab"), CanonicalSurjection.identity(2))
+        term = decompose_along(parse_word("ab"), CanonicalSurjection(2, 2, (1, 2)))
         assert format_term(term, prefer_chars=False) == "f={1}{2} | outer=b1,b2 | inner=[a; b]"
 
 

@@ -20,12 +20,12 @@ from ncwords import (
     MissingMomentError,
     MomentFunctional,
     Word,
-    ascending_word,
     boolean_cumulant,
+    check_coassociativity,
     classical_cumulant,
+    decompose_noncrossing,
     enumerate_nc_basis,
     enumerate_nc_partitions,
-    expect_word,
     free_cumulant,
     free_cumulant_direct,
     moments_from_free_cumulants,
@@ -81,12 +81,69 @@ class TestWordCumulant:
         with pytest.raises(ValueError):
             free_cumulant(E, ())
 
+    @pytest.mark.parametrize(
+        "w, error, message",
+        [
+            (parse_word("abab"), CrossingWordError, "word 'abab' is crossing"),
+            (parse_word("aa"), ValueError, "word 'aa' is not reduced"),
+            (
+                Word(Alphabet.numeric(2), (0,)),
+                ValueError,
+                "word '1' does not use every alphabet letter",
+            ),
+        ],
+        ids=["crossing", "not_reduced", "not_pangrammatic"],
+    )
+    def test_one_validation_route(self, w, error, message):
+        # the cumulant, the non-crossing decomposition and the
+        # non-crossing coassociativity check reject a word alike
+        E = single_table(1, 1)
+        for call in (
+            lambda: word_cumulant(E, w, ("v",) * w.alphabet.size),
+            lambda: decompose_noncrossing(w),
+            lambda: check_coassociativity(w, noncrossing=True),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert (type(exc.value), str(exc.value)) == (error, message)
+
     def test_memo_key_ignores_letter_names_and_order(self):
         rng = random.Random(3)
         E = two_var_table(rng, 4, names=("x", "y"))
-        ba = Word(Alphabet.of(("a", "b")), (1, 0))
+        ba = Word(Alphabet(("a", "b")), (1, 0))
         # letters rank b first, so this is the cumulant of (y, x)
         assert word_cumulant(E, ba, ("x", "y")) == free_cumulant(E, ("y", "x"))
+
+    def test_reads_letters_in_first_occurrence_order(self):
+        # ba ranks b first, so with a -> x and b -> y it reads E(y x)
+        E = MomentFunctional(
+            ("x", "y"),
+            {
+                ("x",): Fraction(0),
+                ("y",): Fraction(0),
+                ("x", "y"): Fraction(1, 5),
+                ("y", "x"): Fraction(2, 5),
+            },
+        )
+        ba = Word(Alphabet(("a", "b")), (1, 0))
+        assert word_cumulant(E, ba, ("x", "y")) == Fraction(2, 5)
+        assert word_cumulant(E, parse_word("ab"), ("x", "y")) == Fraction(1, 5)
+
+    def test_invariant_under_relabelling(self):
+        rng = random.Random(77)
+        E = two_var_table(rng, 4)
+        pool = [w for k in range(1, 5) for w in enumerate_nc_basis(Alphabet.numeric(k))]
+        for w in rng.sample(pool, 40):
+            k = w.alphabet.size
+            assign = tuple(rng.choice(("a", "b")) for _ in range(k))
+            perm = list(range(k))
+            rng.shuffle(perm)
+            relabelled = Word(Alphabet.numeric(k), tuple(perm[x] for x in w.seq))
+            # letter perm[i] of the relabelled word carries letter i's variable
+            assign2 = [""] * k
+            for i, new in enumerate(perm):
+                assign2[new] = assign[i]
+            assert word_cumulant(E, relabelled, assign2) == word_cumulant(E, w, assign), w
 
     def test_table_reuse_matches_fresh_computations(self):
         rng = random.Random(4)
@@ -95,7 +152,7 @@ class TestWordCumulant:
         queries = [
             (parse_word("abcb"), ("a", "b", "a")),
             (parse_word("abc"), ("b", "b", "a")),
-            (ascending_word(4), ("a", "b", "a", "b")),
+            (parse_word("1234"), ("a", "b", "a", "b")),
         ]
         first = [table.word_cumulant(w, assign) for w, assign in queries]
         again = [table.word_cumulant(w, assign) for w, assign in queries]
@@ -382,7 +439,9 @@ class TestCumulantsOfWordsBeyondTheFamilies:
                     sub = reduce_word(restrict(w, ids))
                     prod *= table.word_cumulant(sub, tuple(assign[i] for i in ids))
                 total += prod
-            assert total == expect_word(E, w, assign)
+            # the moment reads each letter's variable once, in order of
+            # first occurrence
+            assert total == E.expect(tuple(assign[x] for x in dict.fromkeys(w.seq)))
 
 
 def bell_filter_terms(shape):
@@ -392,7 +451,6 @@ def bell_filter_terms(shape):
     occurrence."""
     from ncwords import (
         enumerate_canonical_surjections,
-        first_occurrence_order,
         is_noncrossing_seq,
         reduce_word,
         restrict,
@@ -402,15 +460,13 @@ def bell_filter_terms(shape):
     w = Word(Alphabet.numeric(k), shape)
     terms = []
     for f in enumerate_canonical_surjections(k):
-        if f.is_constant or not is_noncrossing_seq(tuple(f.assignment[x] for x in shape)):
+        if f.m == 1 or not is_noncrossing_seq(tuple(f.assignment[x] for x in shape)):
             continue
         term = []
         for block in f.blocks():
             ids = tuple(e - 1 for e in block)
             sub = reduce_word(restrict(w, ids))
-            ranks = first_occurrence_order(sub)
-            by_rank = sorted(range(len(ranks)), key=ranks.__getitem__)
-            term.append((tuple(ranks[x] - 1 for x in sub.seq), tuple(ids[i] for i in by_rank)))
+            term.append((canonical_shape(sub.seq), tuple(ids[i] for i in dict.fromkeys(sub.seq))))
         terms.append(tuple(term))
     return tuple(terms)
 
@@ -435,8 +491,8 @@ class TestPlans:
     def test_second_table_reuses_every_plan(self):
         rng = random.Random(112)
         queries = [
-            (ascending_word(5), ("a", "b", "a", "b", "b")),
-            (ascending_word(6), ("b",) * 6),
+            (parse_word("12345"), ("a", "b", "a", "b", "b")),
+            (parse_word("123456"), ("b",) * 6),
             (peak_word(5), ("a", "b", "b", "a", "a")),
             (parse_word("12324"), ("b", "a", "a", "b")),
         ]

@@ -1,32 +1,24 @@
-"""Moment functionals, word evaluation, the semicircular oracle, file IO."""
+"""Moment functionals, the semicircular oracle, file IO."""
 
 import functools
 import itertools
 import json
-import random
 from fractions import Fraction
 
 import pytest
 
 from ncwords import (
-    Alphabet,
     MissingMomentError,
     MomentFunctional,
     MomentTableError,
-    Word,
-    apply_map,
-    ascending_word,
     enumerate_nc_partitions,
-    expect_word,
-    first_occurrence_order,
     format_rational,
     load_moments,
     parse_rational,
-    parse_word,
     semicircular_family,
 )
 
-from oracles import CATALAN, two_var_table
+from oracles import CATALAN
 
 
 class TestMonomial:
@@ -99,63 +91,6 @@ class TestMomentFunctional:
         E = MomentFunctional(("v",), rule=lambda factors: None)
         with pytest.raises(MissingMomentError):
             E.expect(("v",))
-
-
-class TestFirstOccurrenceOrder:
-    def test_examples(self):
-        assert first_occurrence_order(parse_word("a1,a2,a1,a3")) == (1, 2, 3)
-        assert first_occurrence_order(ascending_word(4)) == (1, 2, 3, 4)
-        bab = Word(Alphabet.of(("a", "b")), (1, 0, 1))
-        assert first_occurrence_order(bab) == (2, 1)
-
-    def test_requires_pangrammatic(self):
-        with pytest.raises(ValueError):
-            first_occurrence_order(Word(Alphabet.numeric(2), (0,)))
-
-
-class TestExpectWord:
-    def test_reads_letters_in_first_occurrence_order(self):
-        E = MomentFunctional(
-            ("x", "y"),
-            {("x", "y"): Fraction(1, 5), ("y", "x"): Fraction(2, 5)},
-        )
-        bab = Word(Alphabet.of(("a", "b")), (1, 0, 1))
-        assert expect_word(E, bab, ("x", "y")) == Fraction(2, 5)
-        assert expect_word(E, parse_word("ab"), ("x", "y")) == Fraction(1, 5)
-
-    def test_ascending_word_reads_plainly(self):
-        E = MomentFunctional(
-            ("p", "q", "r"), {("p", "q", "r"): Fraction(7, 3)}
-        )
-        assert expect_word(E, ascending_word(3), ("p", "q", "r")) == Fraction(7, 3)
-
-    def test_each_letter_contributes_once(self):
-        E = MomentFunctional(("x",), {("x",): Fraction(1, 2)})
-        assert expect_word(E, parse_word("a"), ("x",)) == Fraction(1, 2)
-
-    def test_assignment_length_checked(self):
-        E = MomentFunctional(("x",), {})
-        with pytest.raises(ValueError):
-            expect_word(E, parse_word("ab"), ("x",))
-
-    def test_invariant_under_relabelling(self):
-        rng = random.Random(77)
-        E = two_var_table(rng, 4)
-        for _ in range(40):
-            k = rng.randint(1, 4)
-            seq = [rng.randrange(k) for _ in range(rng.randint(k, 7))]
-            while len(set(seq)) < k:
-                seq = [rng.randrange(k) for _ in range(rng.randint(k, 7))]
-            w = Word(Alphabet.numeric(k), tuple(seq))
-            assign = tuple(rng.choice(("a", "b")) for _ in range(k))
-            perm = list(range(k))
-            rng.shuffle(perm)
-            relabelled = apply_map(w, dict(enumerate(perm)), Alphabet.numeric(k))
-            inv = [0] * k
-            for old, new in enumerate(perm):
-                inv[new] = old
-            assign2 = tuple(assign[inv[j]] for j in range(k))
-            assert expect_word(E, relabelled, assign2) == expect_word(E, w, assign)
 
 
 # The enumerator keeps nothing between calls; the sums below ask for the

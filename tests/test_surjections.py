@@ -14,15 +14,13 @@ from ncwords import (
 )
 from ncwords.surjections import nc_image_assignments
 
-from oracles import BELL, CATALAN, oracle_is_noncrossing_seq
+from oracles import BELL, CATALAN, oracle_assignments, oracle_is_noncrossing_seq
 
 
 class TestCanonicalSurjection:
     def test_valid_forms(self):
         f = CanonicalSurjection(3, 2, (1, 2, 2))
         assert f.blocks() == ((1,), (2, 3))
-        assert CanonicalSurjection.identity(3).assignment == (1, 2, 3)
-        assert CanonicalSurjection.constant(4).assignment == (1, 1, 1, 1)
 
     def test_rejects_non_canonical(self):
         with pytest.raises(ValueError):
@@ -33,21 +31,6 @@ class TestCanonicalSurjection:
             CanonicalSurjection(3, 3, (1, 2, 2))
         with pytest.raises(ValueError):
             CanonicalSurjection(3, 2, (1, 1))
-
-    def test_from_blocks(self):
-        f = CanonicalSurjection.from_blocks([(2,), (1, 3)])
-        assert f.assignment == (1, 2, 1)
-        assert f.block_notation() == "{1,3}{2}"
-        with pytest.raises(ValueError):
-            CanonicalSurjection.from_blocks([(1,), (1, 2)])
-        with pytest.raises(ValueError):
-            CanonicalSurjection.from_blocks([(1,), (3,)])
-
-    def test_flags(self):
-        assert CanonicalSurjection.identity(2).is_identity
-        assert CanonicalSurjection.constant(2).is_constant
-        f = CanonicalSurjection(3, 2, (1, 1, 2))
-        assert not f.is_identity and not f.is_constant
 
 
 class TestEnumeration:
@@ -64,6 +47,13 @@ class TestEnumeration:
             (1, 2, 2),
             (1, 2, 3),
         ]
+
+    def test_order_matches_filtered_tuples(self):
+        # restricted growth strings filtered from all n**n tuples, sorted
+        # by codomain size and then assignment
+        for n in range(1, 8):
+            fs = enumerate_canonical_surjections(n)
+            assert tuple(f.assignment for f in fs) == oracle_assignments(n), n
 
     def test_n4_has_fifteen(self):
         assert len(enumerate_canonical_surjections(4)) == 15
@@ -90,7 +80,7 @@ class TestNonCrossingPartitions:
     def test_predicate_examples(self):
         assert not is_noncrossing_seq(CanonicalSurjection(4, 2, (1, 2, 1, 2)).assignment)
         assert is_noncrossing_seq(CanonicalSurjection(4, 2, (1, 2, 2, 1)).assignment)
-        assert is_noncrossing_seq(CanonicalSurjection.constant(5).assignment)
+        assert is_noncrossing_seq(CanonicalSurjection(5, 1, (1,) * 5).assignment)
 
     def test_counts_are_catalan_numbers(self):
         for n in range(1, 9):
