@@ -17,15 +17,27 @@ The constant surjection always survives the image filter and contributes
 the cumulant of ``w`` itself, so the system solves by recursion on the
 alphabet size, every block being strictly smaller.
 
-The recursion is split in two.  Its combinatorics, which surjections
+The recursion runs in three steps.  Its combinatorics, which surjections
 survive and which reduced sub-word and variables each block reads,
 depend only on the word's shape: its id sequence relabelled in first
 occurrence order.  ``_plan`` builds that once per shape from the pruned
 search :func:`~ncwords.surjections.nc_image_assignments` and the
 ``words`` primitives ``restrict_seq`` and ``reduce_seq``, and keeps it
-for the whole process, whatever the moments.  A :class:`CumulantTable`
-then only executes plans: exact ``Fraction`` arithmetic on the moments
-of its functional.
+for the whole process, whatever the moments.  ``_groups`` then merges,
+per shape and pattern of the variables (their first-occurrence
+relabelling), the terms whose blocks read the same multiset of
+sub-shapes and variables: they have the same product, so one entry with
+an integer multiplicity stands for all of them.  For one variable and
+the ascending word the groups are the block types of the non-crossing
+partitions, counted by Kreweras's formula.
+
+A :class:`CumulantTable` only executes groups, on integers: it keeps a
+scale ``D`` that every moment's denominator read so far divides, and
+memoizes ``D^k`` times each cumulant of ``k`` letters.  Block sizes add
+up to ``k``, so ``D^k K = D^k E - sum of mult * prod D^|B| K(B)`` stays
+integral, the integer-preserving idea of Bareiss (Math. Comp. 22, 1968)
+applied to a triangular system.  Arithmetic stays exact: each public
+call builds one ``Fraction``.
 
 Specializing the word recovers the classical families:
 
@@ -43,9 +55,9 @@ tests meaningful.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from fractions import Fraction
-from math import comb
-from operator import mul
+from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .probability import MomentFunctional
@@ -90,21 +102,85 @@ def _plan(shape: Shape) -> tuple[Term, ...]:
     return tuple(terms)
 
 
+@functools.cache
+def _groups(shape: Shape, pattern: tuple[int, ...]) -> tuple[tuple[int, Term], ...]:
+    """``_plan(shape)`` with equal-product terms merged, for variables
+    whose first-occurrence relabelling is ``pattern``.
+
+    Two terms have the same product when their blocks read the same
+    multiset of sub-shapes and variables; each group is its
+    multiplicity and its first term, in the order of the first terms, so
+    a table requests moments in the plan's order.  Cached for the life
+    of the process, like the plans.
+    """
+    mult: Counter[tuple] = Counter()
+    first: dict[tuple, Term] = {}
+    for term in _plan(shape):
+        key = tuple(sorted((sub, tuple([pattern[i] for i in at])) for sub, at in term))
+        mult[key] += 1
+        first.setdefault(key, term)
+    return tuple((mult[key], term) for key, term in first.items())
+
+
+class _Rescale(Exception):
+    """A moment's denominator does not divide the memo's scale."""
+
+    def __init__(self, denominator: int) -> None:
+        super().__init__(denominator)
+        self.denominator = denominator
+
+
+class _ScaledMemo(dict):
+    """Word cumulants of one functional on integers, by ``(shape,
+    variables)``: ``scale^k`` times the cumulant for ``k`` variables.
+    A missing key is computed on lookup, from the groups of its shape
+    and the values of its blocks."""
+
+    def __init__(self, E: MomentFunctional, scale: int, entries: dict) -> None:
+        super().__init__(entries)
+        self.E = E
+        self.scale = scale
+
+    def __missing__(self, key: tuple[Shape, tuple[str, ...]]) -> int:
+        shape, assign = key
+        m = self.E.expect(assign)
+        if self.scale % m.denominator:
+            raise _Rescale(m.denominator)
+        total = self.scale ** len(assign) // m.denominator * m.numerator
+        rank: dict[str, int] = {}
+        pattern = tuple([rank.setdefault(v, len(rank)) for v in assign])
+        for mult, term in _groups(shape, pattern):
+            prod = mult
+            for sub, at in term:
+                prod *= self[sub, tuple([assign[i] for i in at])]
+            total -= prod
+        self[key] = total
+        return total
+
+
 class CumulantTable:
     """Word cumulants of one moment functional, with memoization.
 
     Each query is relabelled to its shape, the word in first occurrence
     order, with the variables in the same order, so structurally
-    identical queries share a memo entry.  The plans the table executes
-    are per shape and shared by every table in the process; the memo of
-    values is per table.  Plans and memo entries are written at most
-    once per key with identical values, so concurrent use on one table
-    is safe.
+    identical queries share a memo entry.  The plans and groups the
+    table executes are shared by every table in the process; the memo of
+    values is per table.
+
+    Values are memoized as integers: ``D^k`` times the cumulant of a
+    ``k``-letter shape, for a scale ``D`` that starts at 1 and that the
+    denominator of every moment read so far divides.  A moment whose
+    denominator does not divide ``D`` restarts the query on a new memo
+    with the least common multiple as its scale, holding the old entries
+    rescaled; each public call builds one ``Fraction``.  A memo carries
+    its scale and the table replaces it in one assignment, and memo
+    entries are written at most once per key with identical values, so
+    concurrent use on one table is safe.
     """
 
     def __init__(self, E: MomentFunctional) -> None:
         self.E = E
-        self._memo: dict[tuple[Shape, tuple[str, ...]], Fraction] = {}
+        self._memo = _ScaledMemo(E, 1, {})
 
     def word_cumulant(self, w: Word, assign: Sequence[str]) -> Fraction:
         """The cumulant of a reduced pangrammatic non-crossing word.
@@ -127,16 +203,15 @@ class CumulantTable:
         return self._cumulant(tuple(rank[x] for x in w.seq), tuple(assign[x] for x in rank))
 
     def _cumulant(self, shape: Shape, assign: tuple[str, ...]) -> Fraction:
-        key = (shape, assign)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        total = self.E.expect(assign)
-        for term in _plan(shape):
-            blocks = [self._cumulant(sub, tuple([assign[i] for i in at])) for sub, at in term]
-            total -= functools.reduce(mul, blocks)
-        self._memo[key] = total
-        return total
+        while True:
+            memo = self._memo
+            try:
+                return Fraction(memo[shape, assign], memo.scale ** len(assign))
+            except _Rescale as grow:
+                scale = lcm(memo.scale, grow.denominator)
+                ratio = scale // memo.scale
+                rescaled = {key: v * ratio ** len(key[1]) for key, v in memo.items()}
+                self._memo = _ScaledMemo(self.E, scale, rescaled)
 
     def free_cumulant(self, variables: Sequence[str]) -> Fraction:
         """The free cumulant, via the ascending word."""
@@ -201,24 +276,35 @@ def free_cumulant_direct(E: MomentFunctional, variables: Sequence[str]) -> Fract
     vs = tuple(variables)
     if not vs:
         raise ValueError("at least one variable is required")
-    memo: dict[tuple[str, ...], Fraction] = {}
+    return _direct(E, vs, {}, {})
 
-    def kappa(t: tuple[str, ...]) -> Fraction:
-        hit = memo.get(t)
-        if hit is not None:
-            return hit
-        total = E.expect(t)
-        for blocks in _iter_noncrossing_blocks(tuple(range(len(t)))):
-            if len(blocks) == 1:
-                continue
-            prod = Fraction(1)
-            for b in blocks:
-                prod *= kappa(tuple(t[i] for i in b))
-            total -= prod
-        memo[t] = total
-        return total
 
-    return kappa(vs)
+def _direct(
+    E: MomentFunctional,
+    t: tuple[str, ...],
+    memo: dict[tuple[str, ...], Fraction],
+    partitions: dict[int, list[Blocks]],
+) -> Fraction:
+    """``free_cumulant_direct`` of ``t``, with the call's memo and its
+    partitions into two or more blocks, enumerated once per length.  A
+    module-level function, not a closure, so that the memo is freed on
+    return instead of living on in a reference cycle."""
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    total = E.expect(t)
+    n = len(t)
+    if n not in partitions:
+        partitions[n] = [
+            blocks for blocks in _iter_noncrossing_blocks(tuple(range(n))) if len(blocks) > 1
+        ]
+    for blocks in partitions[n]:
+        prod = Fraction(1)
+        for b in blocks:
+            prod *= _direct(E, tuple(t[i] for i in b), memo, partitions)
+        total -= prod
+    memo[t] = total
+    return total
 
 
 def boolean_cumulant(E: MomentFunctional, variables: Sequence[str]) -> Fraction:

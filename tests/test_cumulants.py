@@ -8,8 +8,9 @@ are compared with.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -35,7 +36,7 @@ from ncwords import (
     word_cumulant,
 )
 
-from ncwords.cumulants import _plan
+from ncwords.cumulants import _groups, _plan
 
 from oracles import rand_fraction, single_var_table, two_var_table
 
@@ -478,14 +479,17 @@ def canonical_shape(seq):
     return tuple(rank[x] for x in seq)
 
 
+def nc_basis_shapes():
+    """The canonical shapes of the non-crossing basis words with at most
+    five letters, sorted."""
+    return sorted(
+        {canonical_shape(w.seq) for k in range(1, 6) for w in enumerate_nc_basis(Alphabet.numeric(k))}
+    )
+
+
 class TestPlans:
     def test_plans_match_bell_filter_on_nc_basis_words(self):
-        shapes = {
-            canonical_shape(w.seq)
-            for k in range(1, 6)
-            for w in enumerate_nc_basis(Alphabet.numeric(k))
-        }
-        for shape in sorted(shapes):
+        for shape in nc_basis_shapes():
             assert _plan(shape) == bell_filter_terms(shape), shape
 
     def test_second_table_reuses_every_plan(self):
@@ -499,13 +503,13 @@ class TestPlans:
         first = CumulantTable(two_var_table(rng, 6))
         for w, args in queries:
             first.word_cumulant(w, args)
-        before = _plan.cache_info()
+        plans, groups = _plan.cache_info(), _groups.cache_info()
         E = two_var_table(rng, 6)
         second = CumulantTable(E)
         values = [second.word_cumulant(w, args) for w, args in queries]
-        after = _plan.cache_info()
-        assert after.misses == before.misses
-        assert after.hits > before.hits
+        assert _plan.cache_info().misses == plans.misses
+        assert _groups.cache_info().misses == groups.misses
+        assert _groups.cache_info().hits > groups.hits
         assert values[:3] == [
             free_cumulant_direct(E, queries[0][1]),
             free_cumulant_direct(E, queries[1][1]),
@@ -522,16 +526,130 @@ class TestPlans:
         ]
 
 
-def gap_table():
+def integer_partitions(n, largest=None):
+    """The partitions of n into parts of at most ``largest``, as
+    non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in integer_partitions(n - part, part):
+            yield (part,) + rest
+
+
+class TestGroups:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_one_variable_groups_are_kreweras_block_types(self, n):
+        # the non-crossing partitions of [n] with b blocks, m_i of size
+        # i, number n! / ((n - b + 1)! prod m_i!) (Kreweras, 1972)
+        groups = _groups(tuple(range(n)), (0,) * n)
+        types = [tuple(sorted((len(at) for _, at in term), reverse=True)) for _, term in groups]
+        assert sorted(types) == sorted(p for p in integer_partitions(n) if len(p) > 1)
+        for (mult, _), sizes in zip(groups, types):
+            b = len(sizes)
+            counts = Counter(sizes).values()
+            assert mult == factorial(n) // (factorial(n - b + 1) * prod(map(factorial, counts)))
+
+    def test_groups_expand_to_the_plan_terms(self):
+        # for every two-variable pattern, each group stands for the plan
+        # terms whose blocks read the same multiset of sub-shapes and
+        # variables, and groups come in the order of their first terms
+        for shape in nc_basis_shapes():
+            k = max(shape) + 1
+            for rest in itertools.product((0, 1), repeat=k - 1):
+                pattern = (0,) + rest
+                classes = {}
+                for term in _plan(shape):
+                    reads = Counter((sub, tuple(pattern[i] for i in at)) for sub, at in term)
+                    classes.setdefault(frozenset(reads.items()), []).append(term)
+                expected = tuple((len(terms), terms[0]) for terms in classes.values())
+                assert _groups(shape, pattern) == expected, (shape, pattern)
+
+
+class RecordingFunctional(MomentFunctional):
+    """A table-backed functional that records every monomial requested."""
+
+    def __init__(self, variables, table):
+        super().__init__(variables, table)
+        self.requests = []
+
+    def expect(self, monomial):
+        self.requests.append(tuple(monomial))
+        return super().expect(monomial)
+
+
+def first_primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+class TestScaleGrowth:
+    # A table executes on integers scaled by a power of the lcm of the
+    # denominators it has read; a new denominator restarts the query on
+    # a rescaled memo.  These tables make the scale grow many times.
+    def assert_matches_oracles(self, E, queries):
+        table = CumulantTable(E)
+        for args in queries:
+            assert table.free_cumulant(args) == free_cumulant_direct(E, args), args
+            n = len(args)
+            assert table.word_cumulant(peak_word(n), args) == boolean_cumulant(E, args), args
+
+    def test_restart_keeps_finished_blocks(self):
+        E = RecordingFunctional(
+            ("a", "b"),
+            {("a", "b"): Fraction(1), ("a",): Fraction(2), ("b",): Fraction(1, 3)},
+        )
+        assert CumulantTable(E).free_cumulant(("a", "b")) == Fraction(1, 3)
+        # E(b) restarts the query after the cumulant of a is done; that
+        # entry survives rescaled, so E(a) is not read again
+        assert E.requests == [("a", "b"), ("a",), ("b",), ("a", "b"), ("b",)]
+
+    @pytest.mark.parametrize("order", ["shortest_first", "longest_first"])
+    def test_distinct_prime_denominators(self, order):
+        monomials = [t for n in range(1, 6) for t in itertools.product("ab", repeat=n)]
+        moments = {
+            t: Fraction(i % 7 - 3, p) for i, (t, p) in enumerate(zip(monomials, first_primes(62)))
+        }
+        E = MomentFunctional(("a", "b"), moments)
+        self.assert_matches_oracles(E, monomials if order == "shortest_first" else monomials[::-1])
+
+    def test_rule_based_inverse_factorial_moments(self):
+        E = MomentFunctional(("v",), rule=lambda factors: Fraction(1, factorial(len(factors))))
+        self.assert_matches_oracles(E, [("v",) * n for n in range(1, 9)])
+
+    def test_semicircular_family(self):
+        E = semicircular_family([Fraction(1, 2), Fraction(1, 3)], names=("a", "b"))
+        queries = [t for n in range(6, 0, -1) for t in itertools.product("ab", repeat=n)]
+        self.assert_matches_oracles(E, queries)
+
+
+def gap_moments(seed, denominators):
     """All two-variable moments to order 6 but four, seeded values."""
-    rng = random.Random(2016)
+    rng = random.Random(seed)
     table = {}
     for n in range(1, 7):
         for t in itertools.product("ab", repeat=n):
-            table[t] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            table[t] = Fraction(rng.randint(-5, 5), rng.choice(denominators))
     for t in [("b", "a"), ("a", "b", "b"), ("b", "a", "a", "b"), ("a", "a", "b", "a", "b")]:
         del table[t]
-    return MomentFunctional(("a", "b"), table)
+    return table
+
+
+def gap_table():
+    return MomentFunctional(("a", "b"), gap_moments(2016, (1, 2, 3, 4, 5)))
+
+
+def query(table, word, args):
+    if word == "free":
+        return table.free_cumulant(tuple(args))
+    if word == "peak":
+        return table.word_cumulant(peak_word(len(args)), tuple(args))
+    return table.word_cumulant(parse_word(word), tuple(args))
 
 
 class TestMissingMoments:
@@ -558,10 +676,25 @@ class TestMissingMoments:
     def test_first_missing_monomial(self, word, args, missing):
         table = CumulantTable(gap_table())
         with pytest.raises(MissingMomentError) as info:
-            if word == "free":
-                table.free_cumulant(tuple(args))
-            elif word == "peak":
-                table.word_cumulant(peak_word(len(args)), tuple(args))
-            else:
-                table.word_cumulant(parse_word(word), tuple(args))
+            query(table, word, args)
         assert info.value.monomial == tuple(missing)
+
+    # Denominators 1, 2, 3, 5 and 7, so that the scale grows before the
+    # first missing moment; expected values recorded from the Fraction
+    # executor that these scaled integers replaced.
+    @pytest.mark.parametrize(
+        "word, args, missing",
+        [
+            ("free", "aababa", "aabab"),
+            ("peak", "baabab", "baab"),
+            ("free", "aabbab", "abb"),
+            ("peak", "ababa", "ba"),
+        ],
+    )
+    def test_first_missing_monomial_survives_a_restart(self, word, args, missing):
+        E = RecordingFunctional(("a", "b"), gap_moments(2017, (1, 2, 3, 5, 7)))
+        with pytest.raises(MissingMomentError) as info:
+            query(CumulantTable(E), word, args)
+        assert info.value.monomial == tuple(missing)
+        # a moment read twice: the query restarted before it failed
+        assert len(set(E.requests)) < len(E.requests)
