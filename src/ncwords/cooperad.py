@@ -7,9 +7,9 @@ canonical surjection ``f`` from its alphabet: the term for ``f`` is
     inner  = for each block, the reduction of ``w`` restricted to it
 
 The full decomposition runs over all canonical surjections of the
-alphabet; the non-crossing variant, found by the pruned search, keeps
-exactly the terms whose unreduced image is a non-crossing word and is
-only defined for non-crossing input words.  The private ``_term``
+alphabet; the non-crossing variant, found by the position-scan search,
+keeps exactly the terms whose unreduced image is a non-crossing word and
+is only defined for non-crossing input words.  The private ``_term``
 computes a term on int tuples; ``_build_term`` wraps it in words for
 ``decompose_along`` and for ``_iter_terms``, the one term generator
 behind the two decompositions and the ``decompose`` command, which

@@ -20,16 +20,20 @@ alphabet size, every block being strictly smaller.
 The recursion runs in three steps.  Its combinatorics, which surjections
 survive and which reduced sub-word and variables each block reads,
 depend only on the word's shape: its id sequence relabelled in first
-occurrence order.  ``_plan`` builds that once per shape from the pruned
-search :func:`~ncwords.surjections.nc_image_assignments` and the
-``words`` primitives ``restrict_seq`` and ``reduce_seq``, and keeps it
-for the whole process, whatever the moments.  ``_groups`` then merges,
-per shape and pattern of the variables (their first-occurrence
+occurrence order.  ``_plan`` builds that once per shape, in one pass of
+the position-scan search behind
+:func:`~ncwords.surjections.nc_image_assignments`: at each surjection it
+finds, the search hands over each block's letters as a bit set, and the
+plan keeps one shared entry per block, its sub-shape from the ``words``
+primitives ``restrict_seq`` and ``reduce_seq``.  The plan lives for the
+whole process, whatever the moments.  ``_groups`` then merges, per
+shape and pattern of the variables (their first-occurrence
 relabelling), the terms whose blocks read the same multiset of
 sub-shapes and variables: they have the same product, so one entry with
-an integer multiplicity stands for all of them.  For one variable and
-the ascending word the groups are the block types of the non-crossing
-partitions, counted by Kreweras's formula.
+an integer multiplicity stands for all of them.  Each distinct read of
+a block gets a small int, and a term is keyed by its sorted ints.  For
+one variable and the ascending word the groups are the block types of
+the non-crossing partitions, counted by Kreweras's formula.
 
 A :class:`CumulantTable` only executes groups, on integers: it keeps a
 scale ``D`` that every moment's denominator read so far divides, and
@@ -55,13 +59,12 @@ tests meaningful.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .probability import MomentFunctional
-from .surjections import _block_ids, nc_image_assignments
+from .surjections import _nc_search
 from .words import Word, reduce_seq, restrict_seq
 from .cooperad import _check_basis_word
 
@@ -83,23 +86,26 @@ def _plan(shape: Shape) -> tuple[Term, ...]:
     Cached for the life of the process; ``_plan.cache_info()`` counts
     the shapes planned (misses) and the plans reused (hits).
     """
-    terms = []
-    # A block recurs across many terms; one shared entry per block keeps
-    # plans small.
-    by_block: dict[tuple[int, ...], tuple[Shape, tuple[int, ...]]] = {}
-    for f in nc_image_assignments(shape, max(shape) + 1):
-        blocks = _block_ids(f)
-        if len(blocks) == 1:
-            continue
-        term = []
-        for ids in blocks:
-            if ids not in by_block:
+    k = max(shape) + 1
+    # A block recurs across many terms; one shared entry per block, by
+    # its bit set of letters, keeps plans small.
+    by_block: dict[int, tuple[Shape, tuple[int, ...]]] = {}
+
+    def term(f: list[int], masks: list[int]) -> Term:
+        entries = []
+        for mask in masks:
+            entry = by_block.get(mask)
+            if entry is None:
                 # A canonical shape's letters first occur in increasing
                 # order: the restriction is canonical, letter r is ids[r].
-                by_block[ids] = (reduce_seq(restrict_seq(shape, ids)), ids)
-            term.append(by_block[ids])
-        terms.append(tuple(term))
-    return tuple(terms)
+                ids = tuple([x for x in range(k) if mask >> x & 1])
+                entry = by_block[mask] = (reduce_seq(restrict_seq(shape, ids)), ids)
+            entries.append(entry)
+        return tuple(entries)
+
+    # The search numbers a canonical shape's blocks canonically and puts
+    # the constant surjection first.
+    return tuple(_nc_search(shape, k, term)[1:])
 
 
 @functools.cache
@@ -113,13 +119,22 @@ def _groups(shape: Shape, pattern: tuple[int, ...]) -> tuple[tuple[int, Term], .
     a table requests moments in the plan's order.  Cached for the life
     of the process, like the plans.
     """
-    mult: Counter[tuple] = Counter()
-    first: dict[tuple, Term] = {}
+    # Each distinct read, (sub-shape, variables), gets a small int, and
+    # a term's key is the sorted ints of its blocks.
+    reads: dict[tuple[Shape, tuple[int, ...]], int] = {}
+    read_of: dict[tuple[int, ...], int] = {}
+    groups: dict[tuple[int, ...], list] = {}
     for term in _plan(shape):
-        key = tuple(sorted((sub, tuple([pattern[i] for i in at])) for sub, at in term))
-        mult[key] += 1
-        first.setdefault(key, term)
-    return tuple((mult[key], term) for key, term in first.items())
+        key = []
+        for sub, at in term:
+            r = read_of.get(at)
+            if r is None:
+                read = (sub, tuple([pattern[i] for i in at]))
+                r = read_of[at] = reads.setdefault(read, len(reads))
+            key.append(r)
+        key.sort()
+        groups.setdefault(tuple(key), [0, term])[0] += 1
+    return tuple([(mult, term) for mult, term in groups.values()])
 
 
 class _Rescale(Exception):

@@ -69,7 +69,10 @@ class MomentFunctional:
     """Expectations of monomials over a fixed variable set.
 
     Values come from an explicit table and, failing that, from an
-    optional generative rule.  Rule results are memoized; the cache is a
+    optional generative rule.  A rule's value is converted with
+    ``Fraction``, like a table's, so an ``int`` or a ``float`` gives its
+    exact rational; one that ``Fraction`` rejects is a ``ValueError``
+    naming the monomial.  Rule results are memoized; the cache is a
     plain dict whose entries are only ever written once per key with an
     identical value, so concurrent readers are safe.
     """
@@ -112,6 +115,13 @@ class MomentFunctional:
                 return cached
             value = self._rule(factors)
             if value is not None:
+                try:
+                    value = Fraction(value)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(
+                        f"moment rule gave {value!r} for monomial {'*'.join(factors)},"
+                        " not a rational"
+                    ) from None
                 self._rule_cache[factors] = value
                 return value
         raise MissingMomentError(factors)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
-from .words import is_noncrossing_seq
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=True)
@@ -64,14 +64,9 @@ def _block_ids(f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, blocks))
 
 
-def _restricted_growth(k: int, keep: Callable[[list[int], int], bool]) -> list[tuple[int, ...]]:
-    """The restricted growth strings of length ``k`` whose every prefix
-    passes ``keep``, sorted by codomain size and then assignment.
-
-    A depth-first search sets entry ``j`` of ``f`` to each value from
-    ``1`` to one more than the prefix maximum and descends only when
-    ``keep(f, j)`` holds for the prefix ``f[:j + 1]``.
-    """
+def _restricted_growth(k: int) -> list[tuple[int, ...]]:
+    """The restricted growth strings of length ``k``, sorted by codomain
+    size and then assignment."""
     out: list[tuple[int, ...]] = []
     f = [0] * k
 
@@ -81,8 +76,7 @@ def _restricted_growth(k: int, keep: Callable[[list[int], int], bool]) -> list[t
             return
         for v in range(1, mx + 2):
             f[j] = v
-            if keep(f, j):
-                grow(j + 1, max(mx, v))
+            grow(j + 1, max(mx, v))
 
     grow(0, 0)
     out.sort(key=lambda a: (max(a), a))
@@ -97,33 +91,103 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tuple(
-        CanonicalSurjection(n, max(a), a) for a in _restricted_growth(n, lambda f, j: True)
-    )
+    return tuple(CanonicalSurjection(n, max(a), a) for a in _restricted_growth(n))
+
+
+def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]], T]) -> list[T]:
+    """``leaf(f, masks)`` for each assignment ``f`` of the letters
+    ``0..k-1`` of ``seq`` to blocks whose image of ``seq`` is
+    non-crossing, by number of blocks and then lexicographically, the
+    letters taken in order of first occurrence.  Every letter must occur.
+
+    Blocks are numbered from 1 in order of first appearance in the image;
+    ``masks[b - 1]`` is the bit set of the letters of block ``b``.  Both
+    lists change as the search goes on, so ``leaf`` copies what it keeps.
+
+    The search walks the positions of ``seq``, running the stack scan of
+    :func:`~ncwords.words.is_noncrossing_seq` on the image as it grows.
+    At its first occurrence a letter joins a new block, pushed on the
+    stack, or a block still open on it, which closes the blocks above.  A
+    later occurrence must find its block open, and also closes the blocks
+    above it.  Labels grow up the stack, so one int holds it as a bit
+    set of open labels, with the top at the highest bit, and every step
+    is a few operations on that int instead of a rescan of the image.
+    """
+    seq = tuple(seq)
+    n = len(seq)
+    f = [0] * k
+    masks: list[int] = []
+    found: list[list[T]] = [[] for _ in range(k)]
+
+    def scan(p: int, stack: int) -> None:
+        # Later occurrences leave nothing to choose.
+        while p < n:
+            x = seq[p]
+            b = f[x]
+            if not b:
+                break
+            above = stack >> b
+            if above != 1:
+                if not above & 1:
+                    return  # b is closed: the image crosses
+                stack &= (2 << b) - 1
+            p += 1
+        else:
+            found[len(masks) - 1].append(leaf(f, masks))
+            return
+        bit = 1 << x
+        rest = stack
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            f[x] = b
+            masks[b - 1] |= bit
+            scan(p + 1, stack & ((low << 1) - 1))
+            masks[b - 1] ^= bit
+        b = len(masks) + 1
+        f[x] = b
+        masks.append(bit)
+        scan(p + 1, stack | 1 << b)
+        masks.pop()
+        f[x] = 0
+
+    scan(0, 0)
+    return [item for items in found for item in items]
 
 
 def nc_image_assignments(seq: Sequence[int], k: int) -> list[tuple[int, ...]]:
     """The canonical surjections of the letters ``0..k-1`` of ``seq``
     whose image of ``seq`` is non-crossing, as assignment tuples.
 
-    Entry ``i`` of an assignment is the 1-based block of letter ``i``.  The
-    search drops a prefix as soon as the image of ``seq``, restricted to
-    the letters assigned so far, crosses: that image is a subsequence of
-    every completion's image, and a subsequence of a non-crossing
-    sequence is non-crossing.  Results come in the order of
-    :func:`enumerate_canonical_surjections`: codomain size, then
-    assignment.
+    Entry ``i`` of an assignment is the 1-based block of letter ``i``.
+    Results come in the order of :func:`enumerate_canonical_surjections`:
+    codomain size, then assignment.  The position scan of ``_nc_search``
+    finds them without visiting the others.  It numbers blocks in order
+    of first occurrence, which is the canonical numbering when the
+    letters first occur in id order, as in ``range(k)``; otherwise each
+    result is renumbered by block minimum and the list is sorted.
     """
-    # upto[j]: the letters of seq that are at most j, in order.
-    upto = [[x for x in seq if x <= j] for j in range(k)]
-    return _restricted_growth(k, lambda f, j: is_noncrossing_seq([f[x] for x in upto[j]]))
+    order = list(dict.fromkeys(seq))
+    if order == list(range(k)):
+        return _nc_search(seq, k, lambda f, masks: tuple(f))
+    if sorted(order) != list(range(k)):
+        raise ValueError(f"the letters of {tuple(seq)} are not 0..{k - 1}")
+
+    def canonical(f: list[int], masks: list[int]) -> tuple[int, ...]:
+        rank: dict[int, int] = {}
+        return tuple([rank.setdefault(b, len(rank) + 1) for b in f])
+
+    found = _nc_search(seq, k, canonical)
+    found.sort(key=lambda a: (max(a), a))
+    return found
 
 
 def enumerate_nc_partitions(n: int) -> tuple[CanonicalSurjection, ...]:
     """All non-crossing partitions of ``[n]``, as canonical surjections
     sorted like :func:`enumerate_canonical_surjections`.  There are
-    Catalan(n) of them, found by the pruned search without visiting the
-    Bell(n) others.
+    Catalan(n) of them, found by the position scan of
+    :func:`nc_image_assignments` without visiting the Bell(n) others.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

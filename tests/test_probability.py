@@ -11,8 +11,10 @@ from ncwords import (
     MissingMomentError,
     MomentFunctional,
     MomentTableError,
+    boolean_cumulant,
     enumerate_nc_partitions,
     format_rational,
+    free_cumulant,
     load_moments,
     parse_rational,
     semicircular_family,
@@ -91,6 +93,35 @@ class TestMomentFunctional:
         E = MomentFunctional(("v",), rule=lambda factors: None)
         with pytest.raises(MissingMomentError):
             E.expect(("v",))
+
+    def test_float_rule_values_are_exact(self):
+        # m_n = 2^-n: the constant 1/2, whose free cumulants vanish from
+        # order 2 on; a float from a rule is read as its exact rational
+        E = MomentFunctional(("v",), rule=lambda factors: 0.5 ** len(factors))
+        assert E.expect(("v", "v", "v")) == Fraction(1, 8)
+        kappas = [free_cumulant(E, ("v",) * n) for n in range(1, 5)]
+        assert kappas == [Fraction(1, 2), 0, 0, 0]
+        assert all(type(kappa) is Fraction for kappa in kappas)
+
+    def test_int_rule_values_become_fractions(self):
+        # eta_2 = m_2 - m_1^2 = 2 - 4
+        E = MomentFunctional(("v",), rule=lambda factors: 2)
+        assert type(E.expect(("v",))) is Fraction
+        eta = boolean_cumulant(E, ("v", "v"))
+        assert eta == -2
+        assert type(eta) is Fraction
+
+    @pytest.mark.parametrize("value", ["two", float("nan"), float("inf"), 1j, object()])
+    def test_non_rational_rule_value_names_the_monomial(self, value):
+        E = MomentFunctional(("a", "b"), rule=lambda factors: value)
+        with pytest.raises(ValueError) as info:
+            E.expect(("a", "b", "a"))
+        message = str(info.value)
+        assert "a*b*a" in message
+        assert "\n" not in message
+        # nothing was cached: the next request asks the rule again
+        with pytest.raises(ValueError):
+            E.expect(("a", "b", "a"))
 
 
 # The enumerator keeps nothing between calls; the sums below ask for the

@@ -10,6 +10,7 @@ from ncwords import (
     enumerate_canonical_surjections,
     enumerate_nc_basis,
     enumerate_nc_partitions,
+    enumerate_word_basis,
     is_noncrossing_seq,
 )
 from ncwords.surjections import nc_image_assignments
@@ -116,6 +117,12 @@ class TestNonCrossingPartitions:
         assert p.block_notation() == "{1,4}{2,3}"
 
 
+def bell_filter(seq, k):
+    """The canonical surjections of ``k`` letters whose image of ``seq``
+    passes the quadratic non-crossing oracle, in the enumeration's order."""
+    return [f for f in oracle_assignments(k) if oracle_is_noncrossing_seq([f[x] for x in seq])]
+
+
 class TestPrunedSearch:
     def test_matches_bell_filter_on_nc_basis_words(self):
         # the search keeps exactly the surjections whose image of the
@@ -130,6 +137,15 @@ class TestPrunedSearch:
                 ]
                 assert nc_image_assignments(w.seq, k) == kept, w
 
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_matches_bell_filter_on_all_basis_words(self, k):
+        # crossing words too, and words whose letters do not first occur
+        # in id order, which the search renumbers and sorts
+        words = enumerate_word_basis(Alphabet.numeric(k), 7)
+        assert any(w.seq[0] != 0 for w in words) or k == 1
+        for w in words:
+            assert nc_image_assignments(w.seq, k) == bell_filter(w.seq, k), w
+
     def test_prunes_crossing_images_of_single_blocks(self):
         # merging letters 1 and 3 of 12321 makes the image 1 2 1 2 1 cross
         assert (1, 2, 1) not in nc_image_assignments((0, 1, 2, 1, 0), 3)
@@ -139,3 +155,21 @@ class TestPrunedSearch:
             (1, 2, 2),
             (1, 2, 3),
         ]
+
+    def test_letters_out_of_id_order_are_renumbered(self):
+        # letter 2 occurs first; merging letters 1 and 2 makes the image
+        # of 2 0 1 0 cross.  In order of first occurrence the assignments
+        # would read (2, 2, 1), (2, 3, 1), ...; the canonical form numbers
+        # blocks by their smallest letter
+        assert nc_image_assignments((2, 0, 1, 0), 3) == [
+            (1, 1, 1),
+            (1, 1, 2),
+            (1, 2, 1),
+            (1, 2, 3),
+        ]
+        assert nc_image_assignments((1, 0), 2) == [(1, 1), (1, 2)]
+        assert nc_image_assignments((3, 1, 0, 2, 0, 1), 4) == bell_filter((3, 1, 0, 2, 0, 1), 4)
+
+    def test_every_letter_must_occur(self):
+        with pytest.raises(ValueError):
+            nc_image_assignments((0, 2, 0), 3)
