@@ -40,8 +40,10 @@ scale ``D`` that every moment's denominator read so far divides, and
 memoizes ``D^k`` times each cumulant of ``k`` letters.  Block sizes add
 up to ``k``, so ``D^k K = D^k E - sum of mult * prod D^|B| K(B)`` stays
 integral, the integer-preserving idea of Bareiss (Math. Comp. 22, 1968)
-applied to a triangular system.  Arithmetic stays exact: each public
-call builds one ``Fraction``.
+applied to a triangular system.  A moment with a new denominator grows
+``D`` in place, rescaling the memo's entries, so each memo entry reads
+its moment once.  Arithmetic stays exact: each public call builds one
+``Fraction``.
 
 Specializing the word recovers the classical families:
 
@@ -59,6 +61,7 @@ tests meaningful.
 from __future__ import annotations
 
 import functools
+import threading
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterator, Sequence
@@ -137,42 +140,6 @@ def _groups(shape: Shape, pattern: tuple[int, ...]) -> tuple[tuple[int, Term], .
     return tuple([(mult, term) for mult, term in groups.values()])
 
 
-class _Rescale(Exception):
-    """A moment's denominator does not divide the memo's scale."""
-
-    def __init__(self, denominator: int) -> None:
-        super().__init__(denominator)
-        self.denominator = denominator
-
-
-class _ScaledMemo(dict):
-    """Word cumulants of one functional on integers, by ``(shape,
-    variables)``: ``scale^k`` times the cumulant for ``k`` variables.
-    A missing key is computed on lookup, from the groups of its shape
-    and the values of its blocks."""
-
-    def __init__(self, E: MomentFunctional, scale: int, entries: dict) -> None:
-        super().__init__(entries)
-        self.E = E
-        self.scale = scale
-
-    def __missing__(self, key: tuple[Shape, tuple[str, ...]]) -> int:
-        shape, assign = key
-        m = self.E.expect(assign)
-        if self.scale % m.denominator:
-            raise _Rescale(m.denominator)
-        total = self.scale ** len(assign) // m.denominator * m.numerator
-        rank: dict[str, int] = {}
-        pattern = tuple([rank.setdefault(v, len(rank)) for v in assign])
-        for mult, term in _groups(shape, pattern):
-            prod = mult
-            for sub, at in term:
-                prod *= self[sub, tuple([assign[i] for i in at])]
-            total -= prod
-        self[key] = total
-        return total
-
-
 class CumulantTable:
     """Word cumulants of one moment functional, with memoization.
 
@@ -184,18 +151,23 @@ class CumulantTable:
 
     Values are memoized as integers: ``D^k`` times the cumulant of a
     ``k``-letter shape, for a scale ``D`` that starts at 1 and that the
-    denominator of every moment read so far divides.  A moment whose
-    denominator does not divide ``D`` restarts the query on a new memo
-    with the least common multiple as its scale, holding the old entries
-    rescaled; each public call builds one ``Fraction``.  A memo carries
-    its scale and the table replaces it in one assignment, and memo
-    entries are written at most once per key with identical values, so
-    concurrent use on one table is safe.
+    denominator of every moment read so far divides.  A new denominator
+    grows ``D`` in place to the least common multiple, each entry
+    multiplied by the ratio to the power of its letter count.  A pass
+    over a shape's groups stops after the group in which ``D`` grew and
+    starts again at the new ``D``; the groups done so far are memoized
+    by then, so the new pass only looks them up.  Each memo entry reads
+    its moment once, and each public call builds one ``Fraction``.  A
+    re-entrant lock makes every public query atomic: threads may share a
+    table, and a moment rule may query the table it feeds without
+    blocking itself.
     """
 
     def __init__(self, E: MomentFunctional) -> None:
         self.E = E
-        self._memo = _ScaledMemo(E, 1, {})
+        self._scale = 1
+        self._memo: dict[tuple[Shape, tuple[str, ...]], int] = {}
+        self._lock = threading.RLock()
 
     def word_cumulant(self, w: Word, assign: Sequence[str]) -> Fraction:
         """The cumulant of a reduced pangrammatic non-crossing word.
@@ -218,15 +190,41 @@ class CumulantTable:
         return self._cumulant(tuple(rank[x] for x in w.seq), tuple(assign[x] for x in rank))
 
     def _cumulant(self, shape: Shape, assign: tuple[str, ...]) -> Fraction:
+        with self._lock:
+            return Fraction(self._value((shape, assign)), self._scale ** len(assign))
+
+    def _value(self, key: tuple[Shape, tuple[str, ...]]) -> int:
+        """``scale^k`` times the cumulant of ``key = (shape, variables)``,
+        at the scale the table has on return."""
+        memo = self._memo
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        shape, assign = key
+        m = self.E.expect(assign)
+        if self._scale % m.denominator:
+            scale = lcm(self._scale, m.denominator)
+            ratio = scale // self._scale
+            for done in memo:
+                memo[done] *= ratio ** len(done[1])
+            self._scale = scale
+        rank: dict[str, int] = {}
+        groups = _groups(shape, tuple([rank.setdefault(v, len(rank)) for v in assign]))
         while True:
-            memo = self._memo
-            try:
-                return Fraction(memo[shape, assign], memo.scale ** len(assign))
-            except _Rescale as grow:
-                scale = lcm(memo.scale, grow.denominator)
-                ratio = scale // memo.scale
-                rescaled = {key: v * ratio ** len(key[1]) for key, v in memo.items()}
-                self._memo = _ScaledMemo(self.E, scale, rescaled)
+            scale = self._scale
+            total = scale ** len(assign) // m.denominator * m.numerator
+            for mult, term in groups:
+                prod = mult
+                for sub, at in term:
+                    block = (sub, tuple([assign[i] for i in at]))
+                    v = memo.get(block)
+                    prod *= self._value(block) if v is None else v
+                if scale != self._scale:
+                    break
+                total -= prod
+            else:
+                memo[key] = total
+                return total
 
     def free_cumulant(self, variables: Sequence[str]) -> Fraction:
         """The free cumulant, via the ascending word."""

@@ -33,14 +33,11 @@ class CanonicalSurjection:
         object.__setattr__(self, "assignment", tuple(self.assignment))
         if self.n < 1 or len(self.assignment) != self.n:
             raise ValueError(f"assignment length {len(self.assignment)} does not match n={self.n}")
-        seen = 0
-        for v in self.assignment:
-            if not 1 <= v <= seen + 1:
-                raise ValueError(
-                    f"assignment {self.assignment} is not in canonical min-preimage form"
-                )
-            seen = max(seen, v)
-        if seen != self.m:
+        # Canonical iff the values first occur in the order 1, 2, 3, ...
+        firsts = list(dict.fromkeys(self.assignment))
+        if firsts != list(range(1, len(firsts) + 1)):
+            raise ValueError(f"assignment {self.assignment} is not in canonical min-preimage form")
+        if len(firsts) != self.m:
             raise ValueError(f"assignment {self.assignment} is not onto [{self.m}]")
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:

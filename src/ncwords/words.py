@@ -299,26 +299,30 @@ def apply_map(
 
 def _basis_dfs(alphabet: Alphabet, max_len: int, noncrossing: bool) -> list[Word]:
     # Preorder DFS over no-adjacent-repeat sequences yields words in
-    # lexicographic order of their id sequences.
+    # lexicographic order of their id sequences.  ``nxt`` holds the next
+    # letter to try at each depth: an explicit stack, so long words stay
+    # clear of the recursion limit, in memory linear in the depth.
     k = alphabet.size
     out: list[Word] = []
     seq: list[int] = []
-
-    def grow() -> None:
-        if seq:
-            if (len(seq) == 1 or seq[0] != seq[-1]) and len(set(seq)) == k:
-                out.append(Word(alphabet, tuple(seq)))
-            if len(seq) == max_len:
-                return
-        for x in range(k):
-            if seq and seq[-1] == x:
-                continue
-            seq.append(x)
-            if not noncrossing or is_noncrossing_seq(seq):
-                grow()
+    nxt = [0]
+    while nxt:
+        x = nxt[-1]
+        if x == k:
+            nxt.pop()
+            if seq:
+                seq.pop()
+            continue
+        nxt[-1] = x + 1
+        if (seq and seq[-1] == x) or (noncrossing and not is_noncrossing_seq(seq + [x])):
+            continue
+        seq.append(x)
+        if (len(seq) == 1 or seq[0] != seq[-1]) and len(set(seq)) == k:
+            out.append(Word(alphabet, tuple(seq)))
+        if len(seq) < max_len:
+            nxt.append(0)
+        else:
             seq.pop()
-
-    grow()
     return out
 
 

@@ -121,6 +121,14 @@ class TestCoassoc:
             "alphabet size <= 2, length <= 3\n"
         )
 
+    def test_words_longer_than_the_recursion_limit(self, capsys):
+        code, out, err = run(capsys, "coassoc", "--alphabet-size", "2", "--max-len", "1200")
+        assert (code, err) == (0, "")
+        assert out == (
+            "PASS coassociativity (word cooperad): 1201 words, "
+            "alphabet size <= 2, length <= 1200\n"
+        )
+
     def test_random_mode_reports_seed(self, capsys):
         code, out, _ = run(
             capsys,

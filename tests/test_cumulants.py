@@ -8,9 +8,11 @@ are compared with.
 
 import itertools
 import random
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 
@@ -567,10 +569,10 @@ class TestGroups:
 
 
 class RecordingFunctional(MomentFunctional):
-    """A table-backed functional that records every monomial requested."""
+    """A functional that records every monomial requested."""
 
-    def __init__(self, variables, table):
-        super().__init__(variables, table)
+    def __init__(self, variables, table=None, rule=None):
+        super().__init__(variables, table, rule)
         self.requests = []
 
     def expect(self, monomial):
@@ -588,10 +590,45 @@ def first_primes(count):
     return primes
 
 
+def prime_denominator_case(order):
+    """62 two-letter moments with the first 62 primes as denominators."""
+    monomials = [t for n in range(1, 6) for t in itertools.product("ab", repeat=n)]
+    moments = {
+        t: Fraction(i % 7 - 3, p) for i, (t, p) in enumerate(zip(monomials, first_primes(62)))
+    }
+    queries = monomials if order == "shortest_first" else monomials[::-1]
+    return MomentFunctional(("a", "b"), moments), queries
+
+
+def inverse_factorial_case():
+    """A rule ``m_n = 1/n!``."""
+    E = MomentFunctional(("v",), rule=lambda factors: Fraction(1, factorial(len(factors))))
+    return E, [("v",) * n for n in range(1, 9)]
+
+
+def semicircular_case():
+    """Two free semicircular variables with covariances 1/2 and 1/3."""
+    E = semicircular_family([Fraction(1, 2), Fraction(1, 3)], names=("a", "b"))
+    return E, [t for n in range(6, 0, -1) for t in itertools.product("ab", repeat=n)]
+
+
+SCALE_GROWTH_CASES = {
+    "prime_denominators_shortest_first": lambda: prime_denominator_case("shortest_first"),
+    "prime_denominators_longest_first": lambda: prime_denominator_case("longest_first"),
+    "inverse_factorial_rule": inverse_factorial_case,
+    "semicircular_family": semicircular_case,
+}
+
+
+def table_queries(table, args):
+    """The free cumulant and the peak word cumulant of ``args``."""
+    return table.free_cumulant(args), table.word_cumulant(peak_word(len(args)), args)
+
+
 class TestScaleGrowth:
     # A table executes on integers scaled by a power of the lcm of the
-    # denominators it has read; a new denominator restarts the query on
-    # a rescaled memo.  These tables make the scale grow many times.
+    # denominators it has read; a new denominator grows the scale in
+    # place.  These tables make the scale grow many times.
     def assert_matches_oracles(self, E, queries):
         table = CumulantTable(E)
         for args in queries:
@@ -599,33 +636,67 @@ class TestScaleGrowth:
             n = len(args)
             assert table.word_cumulant(peak_word(n), args) == boolean_cumulant(E, args), args
 
-    def test_restart_keeps_finished_blocks(self):
+    def test_scale_grows_without_rereading_finished_blocks(self):
         E = RecordingFunctional(
             ("a", "b"),
             {("a", "b"): Fraction(1), ("a",): Fraction(2), ("b",): Fraction(1, 3)},
         )
         assert CumulantTable(E).free_cumulant(("a", "b")) == Fraction(1, 3)
-        # E(b) restarts the query after the cumulant of a is done; that
-        # entry survives rescaled, so E(a) is not read again
-        assert E.requests == [("a", "b"), ("a",), ("b",), ("a", "b"), ("b",)]
+        # E(b) grows the scale after the cumulant of a is memoized; that
+        # entry is rescaled in place and the pass starts again from the
+        # memo, so no moment is read twice
+        assert E.requests == [("a", "b"), ("a",), ("b",)]
 
     @pytest.mark.parametrize("order", ["shortest_first", "longest_first"])
     def test_distinct_prime_denominators(self, order):
-        monomials = [t for n in range(1, 6) for t in itertools.product("ab", repeat=n)]
-        moments = {
-            t: Fraction(i % 7 - 3, p) for i, (t, p) in enumerate(zip(monomials, first_primes(62)))
-        }
-        E = MomentFunctional(("a", "b"), moments)
-        self.assert_matches_oracles(E, monomials if order == "shortest_first" else monomials[::-1])
+        self.assert_matches_oracles(*prime_denominator_case(order))
 
     def test_rule_based_inverse_factorial_moments(self):
-        E = MomentFunctional(("v",), rule=lambda factors: Fraction(1, factorial(len(factors))))
-        self.assert_matches_oracles(E, [("v",) * n for n in range(1, 9)])
+        self.assert_matches_oracles(*inverse_factorial_case())
 
     def test_semicircular_family(self):
-        E = semicircular_family([Fraction(1, 2), Fraction(1, 3)], names=("a", "b"))
-        queries = [t for n in range(6, 0, -1) for t in itertools.product("ab", repeat=n)]
-        self.assert_matches_oracles(E, queries)
+        self.assert_matches_oracles(*semicircular_case())
+
+    @pytest.mark.parametrize("case", list(SCALE_GROWTH_CASES))
+    def test_each_moment_is_read_once(self, case):
+        E, queries = SCALE_GROWTH_CASES[case]()
+        recorder = RecordingFunctional(E.variables, rule=E.expect)
+        table = CumulantTable(recorder)
+        # Free cumulants read every monomial under one shape, the
+        # ascending word of its length.
+        for args in queries:
+            table.free_cumulant(args)
+        assert recorder.requests
+        assert len(set(recorder.requests)) == len(recorder.requests)
+        # Peak words read some of the same monomials under other shapes:
+        # one read per memo entry.
+        for args in queries:
+            table.word_cumulant(peak_word(len(args)), args)
+        assert len(recorder.requests) == len(table._memo)
+
+    def test_concurrent_queries_on_one_table(self):
+        # Each thread runs every query, from a different starting point,
+        # so the scale grows under queries still running in other threads.
+        E, queries = prime_denominator_case("longest_first")
+        single = CumulantTable(E)
+        expected = [table_queries(single, args) for args in queries]
+        table = CumulantTable(E)
+        workers = 6
+
+        def run(start):
+            order = list(range(start, len(queries))) + list(range(start))
+            return {i: table_queries(table, queries[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(run, w * len(queries) // workers) for w in range(workers)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert [got[i] for i in range(len(queries))] == expected
 
 
 def gap_moments(seed, denominators):
@@ -692,9 +763,13 @@ class TestMissingMoments:
         ],
     )
     def test_first_missing_monomial_survives_a_restart(self, word, args, missing):
-        E = RecordingFunctional(("a", "b"), gap_moments(2017, (1, 2, 3, 5, 7)))
+        moments = gap_moments(2017, (1, 2, 3, 5, 7))
+        E = RecordingFunctional(("a", "b"), moments)
         with pytest.raises(MissingMomentError) as info:
             query(CumulantTable(E), word, args)
         assert info.value.monomial == tuple(missing)
-        # a moment read twice: the query restarted before it failed
-        assert len(set(E.requests)) < len(E.requests)
+        # no moment is read twice, and a moment read before the missing
+        # one has a denominator above 1: the scale grew during the query
+        assert len(set(E.requests)) == len(E.requests)
+        assert E.requests[-1] == tuple(missing)
+        assert lcm(*[moments[t].denominator for t in E.requests[:-1]]) > 1

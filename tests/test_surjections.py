@@ -24,13 +24,13 @@ class TestCanonicalSurjection:
         assert f.blocks() == ((1,), (2, 3))
 
     def test_rejects_non_canonical(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in canonical min-preimage form"):
             CanonicalSurjection(3, 2, (2, 1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in canonical min-preimage form"):
             CanonicalSurjection(3, 2, (1, 3, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"is not onto \[3\]"):
             CanonicalSurjection(3, 3, (1, 2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="assignment length 2 does not match n=3"):
             CanonicalSurjection(3, 2, (1, 1))
 
 

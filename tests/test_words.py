@@ -245,6 +245,12 @@ class TestEnumeration:
             assert sorted(got) == expected
             assert got == sorted(got)  # lexicographic emission order
 
+    def test_word_basis_deeper_than_the_recursion_limit(self):
+        # two letters alternate: "ab...", "ba..." at each even length
+        words = enumerate_word_basis(Alphabet.numeric(2), 1200)
+        assert len(words) == 1200
+        assert words[-1].seq == (1, 0) * 600
+
     def test_nc_basis_examples(self):
         a = Alphabet(("a",))
         ab = Alphabet(("a", "b"))
