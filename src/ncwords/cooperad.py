@@ -13,12 +13,19 @@ is only defined for non-crossing input words.  The private ``_term``
 computes a term on int tuples; ``_build_term`` wraps it in words for
 ``decompose_along`` and for ``_iter_terms``, the one term generator
 behind the two decompositions and the ``decompose`` command, which
-shares each block's inner word among the terms of one call.
+shares each block's inner word among the terms of one call.  ``_term``
+scans the word once; what it needs of ``f`` alone, each block's letters
+and each letter's block and rank in it, comes from ``_layout``.  The
+words built from its output are valid by construction, so they skip
+re-validation; the public constructors keep every check.
 
 ``check_coassociativity`` verifies, chain by chain, that composing
 ``_term`` in two stages does not depend on the order of the stages.
 Chains share most of their sub-terms, so one check computes each
-distinct one once, in bounded memos that it drops on return.
+distinct one once: a table of the word's terms along every surjection,
+read by index, and bounded memos, all dropped on return.  Two process
+caches hold only what does not depend on the word: ``_layout``, per
+assignment, and ``_composites``, per alphabet size.
 Crossing words generate a coideal: every term of their decomposition
 has a crossing outer or a crossing inner word, which is what
 ``crossing_ideal_witness`` tests and what makes the non-crossing variant
@@ -29,31 +36,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .surjections import (
     CanonicalSurjection,
     _block_ids,
+    _surjection,
     enumerate_canonical_surjections,
     nc_image_assignments,
 )
 from .words import (
     Alphabet,
     Word,
+    _trusted,
     is_noncrossing,
     is_noncrossing_seq,
     is_pangrammatic,
     is_reduced,
-    reduce_seq,
     render_word,
     restrict,
-    restrict_seq,
 )
 
 Seq = tuple[int, ...]
 
-# Entries per memo of one coassociativity check: more than the distinct
-# sub-terms of any k=5 word, and a bound on what a long word can hold.
+# Entries per memo of one coassociativity check, and per process cache
+# keyed by an assignment: more than the distinct sub-terms of any k=5
+# word, and a bound on what a long word can hold.
 _MEMO_SIZE = 4096
 
 
@@ -71,13 +79,61 @@ class DecompositionTerm:
     inner: tuple[Word, ...]
 
 
-def _term(seq: Sequence[int], f: Sequence[int]) -> tuple[Seq, tuple[tuple[Seq, Seq], ...]]:
+@lru_cache(maxsize=_MEMO_SIZE)
+def _layout(f: Seq) -> tuple[tuple[Seq, ...], Seq, Seq]:
+    """What a term along the canonical assignment ``f`` needs of ``f``
+    alone: the letter ids of each block and, per letter, its 0-based
+    block and its rank among the letters of that block."""
+    ids = _block_ids(f)
+    rank = [0] * len(f)
+    for block in ids:
+        for r, x in enumerate(block):
+            rank[x] = r
+    return ids, tuple([b - 1 for b in f]), tuple(rank)
+
+
+def _term(seq: Seq, f: Seq) -> tuple[Seq, tuple[tuple[Seq, Seq], ...]]:
     """The term of ``seq`` along the canonical assignment ``f`` (letter
     ``x`` goes to block ``f[x]``, 1-based): the reduced image on block ids
     ``0, 1, ...``, and per block its letter ids and the reduced
-    restriction of ``seq`` to them.  Every block must meet ``seq``."""
-    outer = reduce_seq([f[x] - 1 for x in seq])
-    return outer, tuple((ids, reduce_seq(restrict_seq(seq, ids))) for ids in _block_ids(f))
+    restriction of ``seq`` to them, relabelled by rank.  Every block must
+    meet ``seq``.
+
+    One scan of ``seq`` extends the image and each block's restriction,
+    collapsing adjacent repeats as it goes; then each word drops a final
+    letter equal to its first, which is the rest of the reduction."""
+    ids, block, rank = _layout(f)
+    outer = [block[seq[0]]]
+    # Each inner word starts with -1, which no rank equals, so the test
+    # for a repeat needs no test for an empty word; it goes at the end.
+    inner: list[list[int]] = [[-1] for _ in ids]
+    for x in seq:
+        b = block[x]
+        if outer[-1] != b:
+            outer.append(b)
+        word = inner[b]
+        r = rank[x]
+        if word[-1] != r:
+            word.append(r)
+    if len(outer) > 1 and outer[0] == outer[-1]:
+        outer.pop()
+    blocks = []
+    for letters, word in zip(ids, inner):
+        del word[0]
+        if len(word) > 1 and word[0] == word[-1]:
+            word.pop()
+        blocks.append((letters, tuple(word)))
+    return tuple(outer), tuple(blocks)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _outer_alphabet(f: Seq) -> Alphabet:
+    """The alphabet of outer words along ``f``, a letter per block named
+    from its elements: block {2,3} becomes letter "b23"; from ten letters
+    on, {1,2} becomes "b1_2", which {12} ("b12") cannot match."""
+    sep = "" if len(f) < 10 else "_"
+    names = tuple("b" + sep.join(str(x + 1) for x in ids) for ids in _layout(f)[0])
+    return _trusted(Alphabet, names=names)
 
 
 def decompose_along(w: Word, f: CanonicalSurjection) -> DecompositionTerm:
@@ -92,21 +148,22 @@ def decompose_along(w: Word, f: CanonicalSurjection) -> DecompositionTerm:
 
 
 def _build_term(w: Word, f: CanonicalSurjection, inner_words: dict[Seq, Word]) -> DecompositionTerm:
-    """Wrap the term of a pangrammatic ``w`` along ``f`` in words.  The
-    inner word of a block depends only on the block's letters, so
-    ``inner_words`` keeps one per block for the terms of one word."""
+    """Wrap the term of ``w`` along ``f``, every block of which meets
+    ``w``, in words.  They are valid by construction, so they are built
+    without re-validation.  The inner word of a block depends only on
+    the block's letters, so ``inner_words`` keeps one per block for the
+    terms of one word."""
     outer, blocks = _term(w.seq, f.assignment)
-    # Derived display names: block {2,3} becomes letter "b23"; from ten
-    # letters on, {1,2} becomes "b1_2", which {12} ("b12") cannot match.
-    sep = "" if f.n < 10 else "_"
-    names = tuple("b" + sep.join(str(x + 1) for x in ids) for ids, _ in blocks)
+    names = w.alphabet.names
     inner = []
     for ids, seq in blocks:
         iw = inner_words.get(ids)
         if iw is None:
-            iw = inner_words[ids] = Word(w.alphabet.subset(ids), seq)
+            sub = _trusted(Alphabet, names=tuple([names[x] for x in ids]))
+            iw = inner_words[ids] = _trusted(Word, alphabet=sub, seq=seq)
         inner.append(iw)
-    return DecompositionTerm(f, Word(Alphabet(names), outer), tuple(inner))
+    outer_word = _trusted(Word, alphabet=_outer_alphabet(f.assignment), seq=outer)
+    return DecompositionTerm(f, outer_word, tuple(inner))
 
 
 def _check_basis_word(w: Word, noncrossing: bool = False) -> None:
@@ -127,7 +184,7 @@ def _iter_terms(w: Word, noncrossing: bool) -> Iterator[DecompositionTerm]:
     _check_basis_word(w, noncrossing)
     k = w.alphabet.size
     if noncrossing:
-        fs = (CanonicalSurjection(k, max(a), a) for a in nc_image_assignments(w.seq, k))
+        fs = map(_surjection, nc_image_assignments(w.seq, k))
     else:
         fs = enumerate_canonical_surjections(k)
     inner_words: dict[Seq, Word] = {}
@@ -166,6 +223,22 @@ def format_term(term: DecompositionTerm, prefer_chars: bool = True) -> str:
     )
 
 
+@lru_cache(maxsize=None)
+def _composites(k: int) -> tuple[Seq, ...]:
+    """For the ``i``-th canonical surjection ``f`` of ``[k]``, the index
+    of ``g . f`` among them for each ``g`` on the blocks of ``f``, both
+    in :func:`enumerate_canonical_surjections` order."""
+    fs = enumerate_canonical_surjections(k)
+    index = {f.assignment: i for i, f in enumerate(fs)}
+    return tuple(
+        tuple(
+            index[tuple([g.assignment[t - 1] for t in f.assignment])]
+            for g in enumerate_canonical_surjections(f.m)
+        )
+        for f in fs
+    )
+
+
 def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
     """Verify two-stage decomposition agreement for every chain of
     canonical surjections out of the word's alphabet.
@@ -183,12 +256,19 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
 
     ``_term`` is a pure function of two int tuples, and many chains ask
     for the same term (every singleton block, for one, gives the same
-    one), so the check computes each distinct term once: the outer-first
-    terms, the inner-first terms along ``g . f`` and, per block, the
-    relabelled restriction of ``f`` with its term and non-crossing
-    filter.  The memos belong to the call and keep at most
-    ``_MEMO_SIZE`` entries each, least recently used first out, so no
-    result outlives the call and memory stays bounded on long words.
+    one), so the check computes each distinct term once.  Each ``g . f``
+    is again one of the Bell(k) canonical surjections of the alphabet:
+    the check tabulates the word's term along each of them and, with
+    ``noncrossing`` set, whether its image is non-crossing, and a chain
+    reads the entries of ``g . f`` at the index ``_composites`` gives.
+    The outer-first terms and, per inner-first block, the relabelled
+    restriction of ``f`` with its term and filter sit in memos of at
+    most ``_MEMO_SIZE`` entries each, least recently used first out.
+    The table and the memos belong to the call, so no result outlives
+    it and memory stays bounded on long words.  The process caches hold
+    nothing of the word: ``_layout`` keeps at most ``_MEMO_SIZE``
+    assignments' block layouts, and ``_composites`` one small int per
+    chain for each alphabet size checked (358 for k=5, 167894 for k=8).
     """
     _check_basis_word(w, noncrossing)
     s = w.seq
@@ -206,22 +286,23 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
         mid, sub_blocks = term(wa, fu)
         return ts, mid, tuple(inner for _, inner in sub_blocks), alive
 
-    for f in enumerate_canonical_surjections(w.alphabet.size):
-        fa = f.assignment
-        outer_f, blocks_f = term(s, fa)
+    k = w.alphabet.size
+    fs = [f.assignment for f in enumerate_canonical_surjections(k)]
+    terms = [term(s, fa) for fa in fs]
+    nc = [not noncrossing or is_noncrossing_seq([fa[x] for x in s]) for fa in fs]
+    for fa, (outer_f, blocks_f), f_alive, composites in zip(fs, terms, nc, _composites(k)):
         inners_f = [inner for _, inner in blocks_f]
-        f_alive = not noncrossing or is_noncrossing_seq([fa[x] for x in s])
-        for g in enumerate_canonical_surjections(f.m):
+        m = len(blocks_f)
+        for g, hi in zip(enumerate_canonical_surjections(m), composites):
             ga = g.assignment
             lhs_outer, lhs_blocks = term(outer_f, ga)
             # Inner-first: along g . f, then each block's word along f on it.
-            h = tuple(ga[t - 1] for t in fa)
-            rhs_outer, rhs_blocks = term(s, h)
+            rhs_outer, rhs_blocks = terms[hi]
             rhs_mids = []
-            rhs_inners: list[Seq] = [()] * f.m
+            rhs_inners: list[Seq] = [()] * m
             parts_alive = True
             for ids, wa in rhs_blocks:
-                ts, mid, inners, alive = part(wa, tuple(fa[x] for x in ids))
+                ts, mid, inners, alive = part(wa, tuple(map(fa.__getitem__, ids)))
                 parts_alive = parts_alive and alive
                 rhs_mids.append(mid)
                 for t, inner in zip(ts, inners):
@@ -229,7 +310,7 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
 
             if noncrossing:
                 lhs_alive = f_alive and is_noncrossing_seq([ga[x] for x in outer_f])
-                rhs_alive = is_noncrossing_seq([h[x] for x in s]) and parts_alive
+                rhs_alive = nc[hi] and parts_alive
                 if lhs_alive != rhs_alive:
                     return False
                 if not lhs_alive:

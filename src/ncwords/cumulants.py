@@ -41,9 +41,9 @@ memoizes ``D^k`` times each cumulant of ``k`` letters.  Block sizes add
 up to ``k``, so ``D^k K = D^k E - sum of mult * prod D^|B| K(B)`` stays
 integral, the integer-preserving idea of Bareiss (Math. Comp. 22, 1968)
 applied to a triangular system.  A moment with a new denominator grows
-``D`` in place, rescaling the memo's entries, so each memo entry reads
-its moment once.  Arithmetic stays exact: each public call builds one
-``Fraction``.
+``D`` in place, rescaling the memo's entries, and a table reads each
+monomial once, whichever shapes ask for it.  Arithmetic stays exact:
+each public call builds one ``Fraction``.
 
 Specializing the word recovers the classical families:
 
@@ -156,17 +156,19 @@ class CumulantTable:
     multiplied by the ratio to the power of its letter count.  A pass
     over a shape's groups stops after the group in which ``D`` grew and
     starts again at the new ``D``; the groups done so far are memoized
-    by then, so the new pass only looks them up.  Each memo entry reads
-    its moment once, and each public call builds one ``Fraction``.  A
-    re-entrant lock makes every public query atomic: threads may share a
-    table, and a moment rule may query the table it feeds without
-    blocking itself.
+    by then, so the new pass only looks them up.  Moments are kept per
+    table by their variables, so a monomial that several shapes read,
+    such as an ascending and a peak word on the same variables, is read
+    once; each public call builds one ``Fraction``.  A re-entrant lock
+    makes every public query atomic: threads may share a table, and a
+    moment rule may query the table it feeds without blocking itself.
     """
 
     def __init__(self, E: MomentFunctional) -> None:
         self.E = E
         self._scale = 1
         self._memo: dict[tuple[Shape, tuple[str, ...]], int] = {}
+        self._moments: dict[tuple[str, ...], Fraction] = {}
         self._lock = threading.RLock()
 
     def word_cumulant(self, w: Word, assign: Sequence[str]) -> Fraction:
@@ -201,7 +203,9 @@ class CumulantTable:
         if hit is not None:
             return hit
         shape, assign = key
-        m = self.E.expect(assign)
+        m = self._moments.get(assign)
+        if m is None:
+            m = self._moments[assign] = self.E.expect(assign)
         if self._scale % m.denominator:
             scale = lcm(self._scale, m.denominator)
             ratio = scale // self._scale

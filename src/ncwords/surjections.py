@@ -18,6 +18,8 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
+from .words import _trusted
+
 T = TypeVar("T")
 
 
@@ -50,6 +52,12 @@ class CanonicalSurjection:
 
     def __str__(self) -> str:
         return self.block_notation()
+
+
+def _surjection(a: tuple[int, ...]) -> CanonicalSurjection:
+    """The surjection of an assignment that is canonical by construction,
+    as every search here returns them, without re-validation."""
+    return _trusted(CanonicalSurjection, n=len(a), m=max(a), assignment=a)
 
 
 def _block_ids(f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -88,7 +96,7 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tuple(CanonicalSurjection(n, max(a), a) for a in _restricted_growth(n))
+    return tuple(_surjection(a) for a in _restricted_growth(n))
 
 
 def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]], T]) -> list[T]:
@@ -188,5 +196,5 @@ def enumerate_nc_partitions(n: int) -> tuple[CanonicalSurjection, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tuple(CanonicalSurjection(n, max(a), a) for a in nc_image_assignments(range(n), n))
+    return tuple(_surjection(a) for a in nc_image_assignments(range(n), n))
 

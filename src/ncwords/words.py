@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class EmptyRestrictionError(ValueError):
@@ -125,6 +127,16 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({render_word(self)!r}, k={self.alphabet.size})"
+
+
+def _trusted(cls: type[T], **fields: object) -> T:
+    """An instance of the frozen dataclass ``cls`` with the given fields,
+    built without ``__post_init__``.  Only for values that are valid by
+    construction, with every field a tuple where the class would convert
+    it to one; public constructors keep every check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def parse_word(text: str) -> Word:

@@ -2,7 +2,9 @@
 
 The headline example (the four-letter word on three letters) is frozen
 term by term; both decompositions equal a brute-force oracle term by
-term on small bases; the structural laws (coassociativity, the crossing
+term on small bases, and so do the term kernel and the check's table of
+composites, piece by piece; every term, built without re-validation,
+passes the public constructors; the structural laws (coassociativity, the crossing
 ideal, counit shape, equivariance under relabelling) are checked over
 small enumerated bases.  The filter-agreement test records that selecting
 terms by crossing of the unreduced image never differs from selecting
@@ -28,6 +30,7 @@ from ncwords import (
     decompose,
     decompose_along,
     decompose_noncrossing,
+    enumerate_canonical_surjections,
     enumerate_nc_basis,
     enumerate_word_basis,
     format_term,
@@ -174,6 +177,55 @@ class TestOracle:
             for w in enumerate_nc_basis(Alphabet.numeric(k)):
                 expected = oracle_decomposition(w.seq, k, noncrossing=True)
                 assert term_rows(decompose_noncrossing(w)) == expected, str(w)
+
+
+class TestKernel:
+    """The one-pass term kernel and the composite table of the check,
+    against routes that build each piece naively."""
+
+    def test_term_matches_oracle(self):
+        for k in range(1, 5):
+            for w in enumerate_word_basis(Alphabet.numeric(k), 7):
+                for f, outer, inners in oracle_decomposition(w.seq, k):
+                    ids = tuple(tuple(x for x in range(k) if f[x] == b) for b in range(1, max(f) + 1))
+                    assert cooperad._term(w.seq, f) == (outer, tuple(zip(ids, inners))), (w, f)
+
+    @pytest.mark.parametrize("k, chains", [(1, 1), (2, 3), (3, 12), (4, 60), (5, 358), (6, 2471)])
+    def test_composites_index_g_after_f(self, k, chains):
+        # the row lengths sum to the chain count, OEIS A000258
+        fs = enumerate_canonical_surjections(k)
+        rows = cooperad._composites(k)
+        assert len(rows) == len(fs)
+        for f, row in zip(fs, rows):
+            gs = enumerate_canonical_surjections(f.m)
+            assert len(row) == len(gs)
+            for g, hi in zip(gs, row):
+                h = [g.assignment[f.assignment[x] - 1] for x in range(k)]
+                assert hi == fs.index(CanonicalSurjection(k, g.m, h))
+        assert sum(map(len, rows)) == chains
+
+    def test_terms_rebuild_through_public_constructors(self):
+        # Terms are built without re-validation; every distinct surjection,
+        # word and alphabet in them must pass the public constructors and
+        # come back equal, names included.  The words: every basis word
+        # with k<=4 and length<=7, every non-crossing one with k<=5.
+        basis = [w for k in range(1, 5) for w in enumerate_word_basis(Alphabet.numeric(k), 7)]
+        basis += [w for k in range(1, 6) for w in enumerate_nc_basis(Alphabet.numeric(k))]
+        surjections, words = set(), set()
+        for w in basis:
+            terms = decompose(w)
+            if is_noncrossing(w):
+                terms += decompose_noncrossing(w)
+            for t in terms:
+                f = t.surjection
+                surjections.add((f.n, f.m, f.assignment))
+                words.update((iw.alphabet.names, iw.seq) for iw in (t.outer, *t.inner))
+        for n, m, assignment in surjections:
+            f = CanonicalSurjection(n, m, assignment)
+            assert (f.n, f.m, f.assignment) == (n, m, assignment)
+        for names, seq in words:
+            rebuilt = Word(Alphabet(names), seq)
+            assert (rebuilt.alphabet.names, rebuilt.seq) == (names, seq)
 
 
 class TestCounit:
