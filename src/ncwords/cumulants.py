@@ -20,30 +20,26 @@ alphabet size, every block being strictly smaller.
 The recursion runs in three steps.  Its combinatorics, which surjections
 survive and which reduced sub-word and variables each block reads,
 depend only on the word's shape: its id sequence relabelled in first
-occurrence order.  ``_plan`` builds that once per shape, in one pass of
-the position-scan search behind
-:func:`~ncwords.surjections.nc_image_assignments`: at each surjection it
-finds, the search hands over each block's letters as a bit set, and the
-plan keeps one shared entry per block, its sub-shape from the ``words``
-primitives ``restrict_seq`` and ``reduce_seq``.  The plan lives for the
-whole process, whatever the moments.  ``_groups`` then merges, per
-shape and pattern of the variables (their first-occurrence
-relabelling), the terms whose blocks read the same multiset of
-sub-shapes and variables: they have the same product, so one entry with
-an integer multiplicity stands for all of them.  Each distinct read of
-a block gets a small int, and a term is keyed by its sorted ints.  For
-one variable and the ascending word the groups are the block types of
-the non-crossing partitions, counted by Kreweras's formula.
+occurrence order.  ``_plan`` builds that once per shape, for the whole
+process, in one pass of the position-scan search behind
+:func:`~ncwords.surjections.nc_image_assignments`, which hands over each
+block's letters as a bit set; the plan keeps one shared entry per block,
+its sub-shape from ``restrict_seq`` and ``reduce_seq``.  ``_groups``
+then merges, per shape and pattern of the variables (their
+first-occurrence relabelling), the terms whose blocks read the same
+multiset of sub-shapes and variables: they have the same product, so
+one entry with an integer multiplicity stands for all of them.  For one
+variable and the ascending word the groups are the block types of the
+non-crossing partitions, counted by Kreweras's formula.
 
 A :class:`CumulantTable` only executes groups, on integers: it keeps a
 scale ``D`` that every moment's denominator read so far divides, and
 memoizes ``D^k`` times each cumulant of ``k`` letters.  Block sizes add
 up to ``k``, so ``D^k K = D^k E - sum of mult * prod D^|B| K(B)`` stays
 integral, the integer-preserving idea of Bareiss (Math. Comp. 22, 1968)
-applied to a triangular system.  A moment with a new denominator grows
-``D`` in place, rescaling the memo's entries, and a table reads each
-monomial once, whichever shapes ask for it.  Arithmetic stays exact:
-each public call builds one ``Fraction``.
+applied to a triangular system.  A shape's reads are resolved once each
+into a list of ints, which its groups multiply by index.  Each public
+call builds one ``Fraction``.
 
 Specializing the word recovers the classical families:
 
@@ -53,9 +49,12 @@ Specializing the word recovers the classical families:
 ``free_cumulant_direct`` solves the free moment-cumulant system by
 direct enumeration of non-crossing partitions.  ``boolean_cumulant``,
 ``classical_cumulant`` and ``moments_from_free_cumulants`` use the
-closed recursions on the block holding the first element.  None of them
-shares logic with the word recursion, which is what makes the agreement
-tests meaningful.
+closed recursions on the block holding the first element.  The last
+two run on integers scaled by a power of the lcm of their inputs'
+denominators; ``boolean_cumulant`` and ``free_cumulant_direct`` stay on
+``Fraction`` values, as the oracles of the peak-word and free routes.
+None of them shares logic with the word recursion, which is what makes
+the agreement tests meaningful.
 """
 
 from __future__ import annotations
@@ -75,7 +74,8 @@ Shape = tuple[int, ...]
 # One plan term: per block, its reduced canonical sub-shape and the
 # positions of the planned shape's variables that the sub-shape's
 # letters read.
-Term = tuple[tuple[Shape, tuple[int, ...]], ...]
+Block = tuple[Shape, tuple[int, ...]]
+Term = tuple[Block, ...]
 
 
 @functools.cache
@@ -112,32 +112,33 @@ def _plan(shape: Shape) -> tuple[Term, ...]:
 
 
 @functools.cache
-def _groups(shape: Shape, pattern: tuple[int, ...]) -> tuple[tuple[int, Term], ...]:
+def _groups(shape: Shape, pattern: Shape) -> tuple[Term, tuple[tuple[int, tuple[int, ...]], ...]]:
     """``_plan(shape)`` with equal-product terms merged, for variables
-    whose first-occurrence relabelling is ``pattern``.
+    whose first-occurrence relabelling is ``pattern``: terms whose
+    blocks read the same multiset of sub-shapes and variables.
 
-    Two terms have the same product when their blocks read the same
-    multiset of sub-shapes and variables; each group is its
-    multiplicity and its first term, in the order of the first terms, so
-    a table requests moments in the plan's order.  Cached for the life
-    of the process, like the plans.
+    Returns the distinct reads, as blocks ``(sub-shape, positions)`` in
+    order of first appearance, and per group, in first-term order, its
+    multiplicity and its reads' sorted numbers.  A term's reads all
+    appear in its group's first term, so resolving the reads in number
+    order requests moments in the plan's order.  Cached per process.
     """
-    # Each distinct read, (sub-shape, variables), gets a small int, and
-    # a term's key is the sorted ints of its blocks.
-    reads: dict[tuple[Shape, tuple[int, ...]], int] = {}
+    # Each read, (sub-shape, variables), maps to its number and block.
+    reads: dict[Block, tuple[int, Block]] = {}
     read_of: dict[tuple[int, ...], int] = {}
-    groups: dict[tuple[int, ...], list] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for term in _plan(shape):
-        key = []
+        ids = []
         for sub, at in term:
             r = read_of.get(at)
             if r is None:
                 read = (sub, tuple([pattern[i] for i in at]))
-                r = read_of[at] = reads.setdefault(read, len(reads))
-            key.append(r)
-        key.sort()
-        groups.setdefault(tuple(key), [0, term])[0] += 1
-    return tuple([(mult, term) for mult, term in groups.values()])
+                r = read_of[at] = reads.setdefault(read, (len(reads), (sub, at)))[0]
+            ids.append(r)
+        ids.sort()
+        groups.setdefault(tuple(ids), [0])[0] += 1
+    blocks = tuple([block for _, block in reads.values()])
+    return blocks, tuple([(mult, ids) for ids, (mult,) in groups.items()])
 
 
 class CumulantTable:
@@ -149,17 +150,16 @@ class CumulantTable:
     table executes are shared by every table in the process; the memo of
     values is per table.
 
-    Values are memoized as integers: ``D^k`` times the cumulant of a
-    ``k``-letter shape, for a scale ``D`` that starts at 1 and that the
-    denominator of every moment read so far divides.  A new denominator
+    Values are memoized as ``D^k`` times each cumulant of ``k`` letters
+    (see the module docstring); ``D`` starts at 1.  A new denominator
     grows ``D`` in place to the least common multiple, each entry
     multiplied by the ratio to the power of its letter count.  A pass
-    over a shape's groups stops after the group in which ``D`` grew and
-    starts again at the new ``D``; the groups done so far are memoized
-    by then, so the new pass only looks them up.  Moments are kept per
-    table by their variables, so a monomial that several shapes read,
-    such as an ascending and a peak word on the same variables, is read
-    once; each public call builds one ``Fraction``.  A re-entrant lock
+    resolves a shape's reads, in number order, and starts again if
+    ``D`` grew meanwhile; the reads are memoized by then, so the new
+    pass only looks them up.  Moments are kept per table by their
+    variables, so a monomial that several shapes read, such as an
+    ascending and a peak word on the same variables, is read once; each
+    public call builds one ``Fraction``.  A re-entrant lock
     makes every public query atomic: threads may share a table, and a
     moment rule may query the table it feeds without blocking itself.
     """
@@ -213,22 +213,21 @@ class CumulantTable:
                 memo[done] *= ratio ** len(done[1])
             self._scale = scale
         rank: dict[str, int] = {}
-        groups = _groups(shape, tuple([rank.setdefault(v, len(rank)) for v in assign]))
+        reads, groups = _groups(shape, tuple([rank.setdefault(v, len(rank)) for v in assign]))
+        blocks = [(sub, tuple([assign[i] for i in at])) for sub, at in reads]
         while True:
             scale = self._scale
-            total = scale ** len(assign) // m.denominator * m.numerator
-            for mult, term in groups:
-                prod = mult
-                for sub, at in term:
-                    block = (sub, tuple([assign[i] for i in at]))
-                    v = memo.get(block)
-                    prod *= self._value(block) if v is None else v
-                if scale != self._scale:
-                    break
-                total -= prod
-            else:
-                memo[key] = total
-                return total
+            # A memoized 0 falls through to _value, which returns it.
+            values = [memo.get(block) or self._value(block) for block in blocks]
+            if scale == self._scale:
+                break
+        total = scale ** len(assign) // m.denominator * m.numerator
+        for mult, ids in groups:
+            for r in ids:
+                mult *= values[r]
+            total -= mult
+        memo[key] = total
+        return total
 
     def free_cumulant(self, variables: Sequence[str]) -> Fraction:
         """The free cumulant, via the ascending word."""
@@ -264,22 +263,12 @@ def _iter_noncrossing_blocks(elements: tuple[int, ...]) -> Iterator[Blocks]:
     first, rest = elements[0], elements[1:]
     r = len(rest)
     for mask in range(1 << r):
-        chosen = tuple(rest[i] for i in range(r) if mask >> i & 1)
-        block = (first,) + chosen
-        gaps: list[list[int]] = [[] for _ in range(len(chosen) + 1)]
-        g = 0
-        for i in range(r):
-            if mask >> i & 1:
-                g += 1
-            else:
-                gaps[g].append(rest[i])
+        chosen = [i for i in range(r) if mask >> i & 1]
+        block = (first,) + tuple(rest[i] for i in chosen)
+        cuts = [-1] + chosen + [r]
         combos: list[Blocks] = [()]
-        for gap in gaps:
-            new: list[Blocks] = []
-            for sub in _iter_noncrossing_blocks(tuple(gap)):
-                for prefix in combos:
-                    new.append(prefix + sub)
-            combos = new
+        for a, b in zip(cuts, cuts[1:]):
+            combos = [p + sub for sub in _iter_noncrossing_blocks(rest[a + 1 : b]) for p in combos]
         for tail in combos:
             yield (block,) + tail
 
@@ -345,10 +334,15 @@ def classical_cumulant(E: MomentFunctional, variables: Sequence[str]) -> Fractio
     """The classical cumulant, by ``m_n = sum C(n-1, k-1) kappa_k m_n-k``.
 
     The recursion groups set partitions by the size ``k`` of the block
-    holding the first element.  Only defined for powers of a single
-    variable: classical cumulants presuppose commuting arguments, and
-    this package does not symmetrize, so mixed argument tuples are
-    rejected.
+    holding the first element, and runs on the integers ``d^j kappa_j``
+    and ``d^j m_j``, ``d`` the lcm of the moments' denominators.  Only
+    defined for powers of a single variable: classical cumulants
+    presuppose commuting arguments, and this package does not
+    symmetrize, so mixed argument tuples are rejected.
+
+    >>> E = MomentFunctional(("v",), {("v",): 1, ("v", "v"): 2, ("v",) * 3: 5})
+    >>> [str(classical_cumulant(E, ("v",) * n)) for n in (1, 2, 3)]
+    ['1', '1', '1']
     """
     vs = tuple(variables)
     if not vs:
@@ -358,11 +352,13 @@ def classical_cumulant(E: MomentFunctional, variables: Sequence[str]) -> Fractio
             f"classical cumulants take powers of a single variable, got {sorted(set(vs))}"
         )
     n = len(vs)
-    m = [E.expect(vs[:j]) for j in range(n + 1)]
-    kappa = [Fraction(0)]
+    moments = [E.expect(vs[:j]) for j in range(n + 1)]
+    d = lcm(*[x.denominator for x in moments])
+    m = [d**j // x.denominator * x.numerator for j, x in enumerate(moments)]
+    kappa = [0]
     for j in range(1, n + 1):
-        kappa.append(m[j] - sum(comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j)))
-    return kappa[n]
+        kappa.append(m[j] - sum([comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j)]))
+    return Fraction(kappa[n], d**n)
 
 
 def moments_from_free_cumulants(kappas: Sequence[Fraction | int]) -> list[Fraction]:
@@ -372,17 +368,23 @@ def moments_from_free_cumulants(kappas: Sequence[Fraction | int]) -> list[Fracti
     ``m_0 .. m_N``.  The block holding the first element has some size
     ``s`` and cuts the rest into ``s`` gaps that partition independently,
     so ``m_n = sum over s of kappa_s [z^(n-s)] M(z)^s`` with ``M`` the
-    moment series.
+    moment series.  It runs on the integers ``d^n m_n``, ``d`` the lcm
+    of the cumulants' denominators.  The semicircle's moments, Catalan:
+
+    >>> [str(m) for m in moments_from_free_cumulants([0, 1, 0, 0, 0, 0])]
+    ['1', '0', '1', '0', '2', '0', '5']
     """
     ks = [Fraction(k) for k in kappas]
-    m = [Fraction(1)]
-    # power[s][r] is the coefficient of z^r in M(z)^s.
-    power = [[Fraction(1)] + [Fraction(0)] * len(ks)] + [[] for _ in ks]
+    d = lcm(*[k.denominator for k in ks])
+    ks = [d**s // k.denominator * k.numerator for s, k in enumerate(ks, start=1)]
+    m = [1]
+    # power[s][r] is d^r times the coefficient of z^r in M(z)^s.
+    power = [[1] + [0] * len(ks)] + [[] for _ in ks]
     for n in range(1, len(ks) + 1):
-        total = Fraction(0)
+        total = 0
         for s in range(1, n + 1):
             r = n - s
-            power[s].append(sum(m[i] * power[s - 1][r - i] for i in range(r + 1)))
+            power[s].append(sum([m[i] * power[s - 1][r - i] for i in range(r + 1)]))
             total += ks[s - 1] * power[s][r]
         m.append(total)
-    return m
+    return [Fraction(x, d**n) for n, x in enumerate(m)]

@@ -104,7 +104,7 @@ class MomentFunctional:
         """The expectation of a monomial, given as its sequence of
         factors; raises on anything undefined."""
         factors = tuple(monomial)
-        if any(v not in self._varset for v in factors):
+        if not self._varset.issuperset(factors):
             raise MissingMomentError(factors)
         hit = self._table.get(factors)
         if hit is not None:

@@ -25,7 +25,7 @@ T = TypeVar("T")
 
 @dataclass(frozen=True, eq=True)
 class CanonicalSurjection:
-    """A surjection ``[n] -> [m]`` in min-preimage canonical form."""
+    """A surjection ``[n] -> [m]`` in min-preimage canonical form; values are ints, not bools."""
 
     n: int
     m: int
@@ -35,6 +35,8 @@ class CanonicalSurjection:
         object.__setattr__(self, "assignment", tuple(self.assignment))
         if self.n < 1 or len(self.assignment) != self.n:
             raise ValueError(f"assignment length {len(self.assignment)} does not match n={self.n}")
+        if not {int}.issuperset(map(type, self.assignment)):
+            raise TypeError(f"assignment values must be ints, got {self.assignment}")
         # Canonical iff the values first occur in the order 1, 2, 3, ...
         firsts = list(dict.fromkeys(self.assignment))
         if firsts != list(range(1, len(firsts) + 1)):

@@ -3,11 +3,12 @@
 Conventions used throughout the package:
 
 - An :class:`Alphabet` is an ordered finite set of letters.  Letters are
-  identified by position, so letter ids are always ``0..k-1``.  Display
-  names are presentation only: they drive parsing and rendering but never
-  participate in equality.  Structurally, two alphabets of the same size
-  are interchangeable, which is what makes relabelling invariance a
-  non-event at the data level.
+  identified by position, so letter ids are always the ints ``0..k-1``
+  (:class:`Word` refuses other types, and ``bool``, an ``int`` subclass,
+  as a likely mistake).  Display names are presentation only: they drive
+  parsing and rendering but never participate in equality.  Structurally,
+  two alphabets of the same size are interchangeable, which is what makes
+  relabelling invariance a non-event at the data level.
 - A :class:`Word` is a nonempty sequence of letter ids over its alphabet.
 - :func:`reduce_word` rewrites a word to its unique normal form under the
   two rules "collapse an adjacent repeated letter" and "drop a final
@@ -28,6 +29,7 @@ Text syntax: a word is written either as single-character letters
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -97,12 +99,17 @@ class Word:
     seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seq", tuple(self.seq))
-        if not self.seq:
+        seq = self.seq
+        if type(seq) is not tuple:
+            seq = tuple(seq)
+            object.__setattr__(self, "seq", seq)
+        if not seq:
             raise ValueError("a word must be a nonempty sequence of letters")
+        if not {int}.issuperset(map(type, seq)):
+            raise TypeError(f"letter ids must be ints, got {seq}")
         k = self.alphabet.size
-        if any(x < 0 or x >= k for x in self.seq):
-            raise ValueError(f"letter ids {self.seq} out of range for alphabet of size {k}")
+        if not _letter_ids(k).issuperset(seq):
+            raise ValueError(f"letter ids {seq} out of range for alphabet of size {k}")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -127,6 +134,10 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({render_word(self)!r}, k={self.alphabet.size})"
+
+
+# The valid letter ids of a k-letter alphabet, for the check in Word.
+_letter_ids = functools.lru_cache(maxsize=64)(lambda k: frozenset(range(k)))
 
 
 def _trusted(cls: type[T], **fields: object) -> T:

@@ -11,6 +11,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 from ncwords import Alphabet, MomentFunctional, Word, apply_map, reduce_word, restrict
 
@@ -225,3 +226,40 @@ def two_var_table(rng: random.Random, up_to: int, names=("a", "b")) -> MomentFun
         for combo in itertools.product(names, repeat=n):
             entries[combo] = rand_fraction(rng)
     return MomentFunctional(names, entries)
+
+
+def fraction_classical_cumulant(E: MomentFunctional, variables) -> Fraction:
+    """``classical_cumulant``'s recursion, ``m_n = sum C(n-1, k-1)
+    kappa_k m_n-k``, on ``Fraction`` values: one reduced rational per
+    operation, the reference for the library's scaled-integer route."""
+    vs = tuple(variables)
+    if not vs:
+        raise ValueError("at least one variable is required")
+    if len(set(vs)) != 1:
+        raise ValueError(
+            f"classical cumulants take powers of a single variable, got {sorted(set(vs))}"
+        )
+    n = len(vs)
+    m = [E.expect(vs[:j]) for j in range(n + 1)]
+    kappa = [Fraction(0)]
+    for j in range(1, n + 1):
+        kappa.append(m[j] - sum(comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j)))
+    return kappa[n]
+
+
+def fraction_moments_from_free_cumulants(kappas) -> list[Fraction]:
+    """``moments_from_free_cumulants``'s forward sum, ``m_n = sum over s
+    of kappa_s [z^(n-s)] M(z)^s``, on ``Fraction`` values: the reference
+    for the library's scaled-integer route."""
+    ks = [Fraction(k) for k in kappas]
+    m = [Fraction(1)]
+    # power[s][r] is the coefficient of z^r in M(z)^s.
+    power = [[Fraction(1)] + [Fraction(0)] * len(ks)] + [[] for _ in ks]
+    for n in range(1, len(ks) + 1):
+        total = Fraction(0)
+        for s in range(1, n + 1):
+            r = n - s
+            power[s].append(sum(m[i] * power[s - 1][r - i] for i in range(r + 1)))
+            total += ks[s - 1] * power[s][r]
+        m.append(total)
+    return m

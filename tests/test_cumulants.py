@@ -40,7 +40,13 @@ from ncwords import (
 
 from ncwords.cumulants import _groups, _plan
 
-from oracles import rand_fraction, single_var_table, two_var_table
+from oracles import (
+    fraction_classical_cumulant,
+    fraction_moments_from_free_cumulants,
+    rand_fraction,
+    single_var_table,
+    two_var_table,
+)
 
 
 def catalan(n):
@@ -544,8 +550,8 @@ class TestGroups:
     def test_one_variable_groups_are_kreweras_block_types(self, n):
         # the non-crossing partitions of [n] with b blocks, m_i of size
         # i, number n! / ((n - b + 1)! prod m_i!) (Kreweras, 1972)
-        groups = _groups(tuple(range(n)), (0,) * n)
-        types = [tuple(sorted((len(at) for _, at in term), reverse=True)) for _, term in groups]
+        reads, groups = _groups(tuple(range(n)), (0,) * n)
+        types = [tuple(sorted((len(reads[r][1]) for r in ids), reverse=True)) for _, ids in groups]
         assert sorted(types) == sorted(p for p in integer_partitions(n) if len(p) > 1)
         for (mult, _), sizes in zip(groups, types):
             b = len(sizes)
@@ -555,17 +561,33 @@ class TestGroups:
     def test_groups_expand_to_the_plan_terms(self):
         # for every two-variable pattern, each group stands for the plan
         # terms whose blocks read the same multiset of sub-shapes and
-        # variables, and groups come in the order of their first terms
+        # variables; groups come in the order of their first terms, and
+        # reads are numbered in order of first appearance in the plan,
+        # each with the positions of the block it first appears in
         for shape in nc_basis_shapes():
             k = max(shape) + 1
             for rest in itertools.product((0, 1), repeat=k - 1):
                 pattern = (0,) + rest
+
+                def read_of(block):
+                    return block[0], tuple(pattern[i] for i in block[1])
+
                 classes = {}
+                first_block = {}
                 for term in _plan(shape):
-                    reads = Counter((sub, tuple(pattern[i] for i in at)) for sub, at in term)
-                    classes.setdefault(frozenset(reads.items()), []).append(term)
-                expected = tuple((len(terms), terms[0]) for terms in classes.values())
-                assert _groups(shape, pattern) == expected, (shape, pattern)
+                    counts = Counter(map(read_of, term))
+                    classes.setdefault(frozenset(counts.items()), []).append(term)
+                    for block in term:
+                        first_block.setdefault(read_of(block), block)
+                expected = [
+                    (len(terms), Counter(map(read_of, terms[0]))) for terms in classes.values()
+                ]
+                reads, groups = _groups(shape, pattern)
+                assert list(reads) == list(first_block.values()), (shape, pattern)
+                assert [
+                    (mult, Counter(read_of(reads[r]) for r in ids)) for mult, ids in groups
+                ] == expected, (shape, pattern)
+                assert all(list(ids) == sorted(ids) for _, ids in groups), (shape, pattern)
 
 
 class RecordingFunctional(MomentFunctional):
@@ -694,6 +716,92 @@ class TestScaleGrowth:
             sys.setswitchinterval(interval)
         for got in results:
             assert [got[i] for i in range(len(queries))] == expected
+
+
+def prime_denominator_values(count, shift=0):
+    """``count`` rationals with distinct prime denominators, the first
+    ``count`` primes from the ``shift``-th on, and small signed
+    numerators, as in :func:`prime_denominator_case`."""
+    primes = first_primes(count + shift)[shift:]
+    return [Fraction((i * 5 + shift) % 11 - 5, p) for i, p in enumerate(primes)]
+
+
+def assert_same_fractions(got, expected):
+    assert got == expected
+    assert all(type(x) is Fraction for x in got)
+
+
+class TestIntegerClosedRecursions:
+    # classical_cumulant and moments_from_free_cumulants run on integers
+    # scaled by a power of the lcm of their inputs' denominators; the
+    # Fraction recursions in oracles.py are the reference.
+    @pytest.mark.parametrize("shift", [0, 12, 40])
+    def test_classical_on_prime_denominators_to_order_12(self, shift):
+        E = single_table(*prime_denominator_values(12, shift))
+        got = [classical_cumulant(E, ("v",) * n) for n in range(1, 13)]
+        expected = [fraction_classical_cumulant(E, ("v",) * n) for n in range(1, 13)]
+        assert_same_fractions(got, expected)
+
+    def test_classical_on_the_prime_denominator_tables(self):
+        for order in ("shortest_first", "longest_first"):
+            E, _ = prime_denominator_case(order)
+            for v in "ab":
+                for n in range(1, 6):
+                    args = (v,) * n
+                    assert_same_fractions(
+                        [classical_cumulant(E, args)], [fraction_classical_cumulant(E, args)]
+                    )
+
+    @pytest.mark.parametrize(
+        "moments",
+        [[0] * 12, [1] * 12, [0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132], [-3, 7, 0, -1, 2]],
+    )
+    def test_classical_on_integer_moments(self, moments):
+        E = single_table(*moments)
+        n = len(moments)
+        got = [classical_cumulant(E, ("v",) * j) for j in range(1, n + 1)]
+        expected = [fraction_classical_cumulant(E, ("v",) * j) for j in range(1, n + 1)]
+        assert_same_fractions(got, expected)
+
+    @pytest.mark.parametrize("shift", [0, 12, 40])
+    def test_moments_on_prime_denominators_to_order_12(self, shift):
+        kappas = prime_denominator_values(12, shift)
+        for n in range(13):
+            assert_same_fractions(
+                moments_from_free_cumulants(kappas[:n]),
+                fraction_moments_from_free_cumulants(kappas[:n]),
+            )
+
+    @pytest.mark.parametrize(
+        "kappas",
+        [
+            [0, 1] + [0] * 58,
+            [0] * 12,
+            [],
+            [1] * 12,
+            [-2, 0, 5, 0, -1],
+            [Fraction(4), Fraction(-6, 2), 0],
+            [Fraction(1, 2), 3, Fraction(-2, 9)],
+        ],
+    )
+    def test_moments_on_integer_and_zero_inputs(self, kappas):
+        assert_same_fractions(
+            moments_from_free_cumulants(kappas), fraction_moments_from_free_cumulants(kappas)
+        )
+
+    def test_random_tables(self):
+        rng = random.Random(115)
+        for _ in range(20):
+            E = single_var_table(rng, 10)
+            args = [("v",) * n for n in range(1, 11)]
+            assert_same_fractions(
+                [classical_cumulant(E, a) for a in args],
+                [fraction_classical_cumulant(E, a) for a in args],
+            )
+            kappas = [rand_fraction(rng) for _ in range(10)]
+            assert_same_fractions(
+                moments_from_free_cumulants(kappas), fraction_moments_from_free_cumulants(kappas)
+            )
 
 
 def gap_moments(seed, denominators):

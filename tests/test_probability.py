@@ -71,6 +71,20 @@ class TestMomentFunctional:
         with pytest.raises(MissingMomentError):
             E.expect(("w",))
 
+    def test_unknown_variable_is_checked_before_the_table(self):
+        # the table holds a monomial outside the variable set; it is
+        # still undefined, and the error names the whole monomial
+        E = MomentFunctional(("a", "b"), {("a", "c"): Fraction(1)})
+        for monomial in [("a", "c"), ("c",), ("a", "b", "c")]:
+            with pytest.raises(MissingMomentError) as exc:
+                E.expect(monomial)
+            assert exc.value.monomial == monomial
+
+    def test_unhashable_factor_is_a_type_error(self):
+        E = MomentFunctional(("a",), {("a",): Fraction(1)})
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            E.expect(("a", ["a"]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MomentFunctional(("v", "v"), {})
@@ -124,9 +138,15 @@ class TestMomentFunctional:
             E.expect(("a", "b", "a"))
 
 
-# The enumerator keeps nothing between calls; the sums below ask for the
-# same few sizes hundreds of times.
-nc_partitions = functools.cache(enumerate_nc_partitions)
+@functools.cache
+def nc_pair_partitions(n):
+    """The non-crossing partitions of [n] into pairs, each as its pairs
+    of 0-based positions; listed once per n, not once per label tuple."""
+    return tuple(
+        tuple((b[0] - 1, b[1] - 1) for b in blocks)
+        for blocks in (part.blocks() for part in enumerate_nc_partitions(n))
+        if all(len(b) == 2 for b in blocks)
+    )
 
 
 def pair_partition_sum(labels, covs):
@@ -134,15 +154,12 @@ def pair_partition_sum(labels, covs):
     total = Fraction(0)
     if len(labels) % 2:
         return total
-    for part in nc_partitions(len(labels)):
-        blocks = part.blocks()
-        if any(len(b) != 2 for b in blocks):
-            continue
-        if any(labels[b[0] - 1] != labels[b[1] - 1] for b in blocks):
+    for pairs in nc_pair_partitions(len(labels)):
+        if any(labels[i] != labels[j] for i, j in pairs):
             continue
         prod = Fraction(1)
-        for b in blocks:
-            prod *= covs[labels[b[0] - 1]]
+        for i, _ in pairs:
+            prod *= covs[labels[i]]
         total += prod
     return total
 

@@ -33,6 +33,12 @@ class TestCanonicalSurjection:
         with pytest.raises(ValueError, match="assignment length 2 does not match n=3"):
             CanonicalSurjection(3, 2, (1, 1))
 
+    @pytest.mark.parametrize("assignment", [(1, 2.0), (1.0, 2), (True, 2), ("1", "2")])
+    def test_assignment_values_must_be_ints(self, assignment):
+        with pytest.raises(TypeError) as info:
+            CanonicalSurjection(2, 2, assignment)
+        assert str(info.value) == f"assignment values must be ints, got {assignment}"
+
 
 class TestEnumeration:
     def test_counts_are_bell_numbers(self):

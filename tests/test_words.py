@@ -73,8 +73,15 @@ class TestWord:
     def test_validation(self):
         with pytest.raises(ValueError):
             Word(Alphabet.numeric(2), ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"ids \(0, 2\) out of range for alphabet of size 2"):
             Word(Alphabet.numeric(2), (0, 2))
+
+    @pytest.mark.parametrize("seq", [(0.5, 1), (0, 1.0), ("0",), (True, 0), (0, None)])
+    def test_letter_ids_must_be_ints(self, seq):
+        # bool is refused too, although it subclasses int
+        with pytest.raises(TypeError) as info:
+            Word(Alphabet.numeric(2), seq)
+        assert str(info.value) == f"letter ids must be ints, got {seq}"
 
     def test_equality_by_size_and_seq(self):
         w1 = Word(Alphabet(("a", "b")), (0, 1))
