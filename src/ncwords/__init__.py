@@ -13,6 +13,7 @@ comparison and cross-checking.  All arithmetic is exact rational.
 
 from .words import (
     Alphabet,
+    CrossingWordError,
     EmptyRestrictionError,
     Word,
     apply_map,
@@ -35,7 +36,6 @@ from .surjections import (
     enumerate_nc_partitions,
 )
 from .cooperad import (
-    CrossingWordError,
     DecompositionTerm,
     check_coassociativity,
     crossing_ideal_witness,

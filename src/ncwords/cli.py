@@ -157,9 +157,7 @@ def _evaluate(kind: str, E, args: list[str], table: CumulantTable | None = None)
         return (table or CumulantTable(E)).free_cumulant(args)
     if kind == "boolean":
         return boolean_cumulant(E, args)
-    if kind == "classical":
-        return classical_cumulant(E, args)
-    raise ValueError(f"unknown cumulant kind {kind!r}")
+    return classical_cumulant(E, args)
 
 
 def _run_moments(ns: argparse.Namespace) -> int:

@@ -29,7 +29,8 @@ assignment, and ``_composites``, per alphabet size.
 Crossing words generate a coideal: every term of their decomposition
 has a crossing outer or a crossing inner word, which is what
 ``crossing_ideal_witness`` tests and what makes the non-crossing variant
-well defined.
+well defined.  The basis-word check and its ``CrossingWordError`` live
+in :mod:`ncwords.words`, since the word cumulants use them too.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ from .surjections import (
 from .words import (
     Alphabet,
     Word,
+    _check_basis_word,
     _trusted,
     is_noncrossing,
     is_noncrossing_seq,
     is_pangrammatic,
-    is_reduced,
     render_word,
     restrict,
 )
@@ -63,10 +64,6 @@ Seq = tuple[int, ...]
 # keyed by an assignment: more than the distinct sub-terms of any k=5
 # word, and a bound on what a long word can hold.
 _MEMO_SIZE = 4096
-
-
-class CrossingWordError(ValueError):
-    """Raised when a non-crossing operation receives a crossing word."""
 
 
 @dataclass(frozen=True, eq=True)
@@ -164,17 +161,6 @@ def _build_term(w: Word, f: CanonicalSurjection, inner_words: dict[Seq, Word]) -
         inner.append(iw)
     outer_word = _trusted(Word, alphabet=_outer_alphabet(f.assignment), seq=outer)
     return DecompositionTerm(f, outer_word, tuple(inner))
-
-
-def _check_basis_word(w: Word, noncrossing: bool = False) -> None:
-    """Raise unless ``w`` is pangrammatic, reduced and, with
-    ``noncrossing`` set, non-crossing (:class:`CrossingWordError`)."""
-    if not is_pangrammatic(w):
-        raise ValueError(f"word {render_word(w)!r} does not use every alphabet letter")
-    if not is_reduced(w):
-        raise ValueError(f"word {render_word(w)!r} is not reduced")
-    if noncrossing and not is_noncrossing(w):
-        raise CrossingWordError(f"word {render_word(w)!r} is crossing")
 
 
 def _iter_terms(w: Word, noncrossing: bool) -> Iterator[DecompositionTerm]:

@@ -67,8 +67,7 @@ from typing import Iterator, Sequence
 
 from .probability import MomentFunctional
 from .surjections import _nc_search
-from .words import Word, reduce_seq, restrict_seq
-from .cooperad import _check_basis_word
+from .words import Word, _check_basis_word, reduce_seq, restrict_seq
 
 Shape = tuple[int, ...]
 # One plan term: per block, its reduced canonical sub-shape and the
@@ -154,14 +153,14 @@ class CumulantTable:
     (see the module docstring); ``D`` starts at 1.  A new denominator
     grows ``D`` in place to the least common multiple, each entry
     multiplied by the ratio to the power of its letter count.  A pass
-    resolves a shape's reads, in number order, and starts again if
-    ``D`` grew meanwhile; the reads are memoized by then, so the new
-    pass only looks them up.  Moments are kept per table by their
-    variables, so a monomial that several shapes read, such as an
-    ascending and a peak word on the same variables, is read once; each
-    public call builds one ``Fraction``.  A re-entrant lock
-    makes every public query atomic: threads may share a table, and a
-    moment rule may query the table it feeds without blocking itself.
+    resolves a shape's reads, in number order; if ``D`` grew meanwhile,
+    the reads are memoized by then and are looked up again, once.
+    Moments are kept per table by their variables, so a monomial that
+    several shapes read, such as an ascending and a peak word on the
+    same variables, is read once; each public call builds one
+    ``Fraction``.  A re-entrant lock makes every public query atomic:
+    threads may share a table, and a moment rule may query the table it
+    feeds without blocking itself.
     """
 
     def __init__(self, E: MomentFunctional) -> None:
@@ -215,12 +214,13 @@ class CumulantTable:
         rank: dict[str, int] = {}
         reads, groups = _groups(shape, tuple([rank.setdefault(v, len(rank)) for v in assign]))
         blocks = [(sub, tuple([assign[i] for i in at])) for sub, at in reads]
-        while True:
+        scale = self._scale
+        # A memoized 0 falls through to _value, which returns it.
+        values = [memo.get(block) or self._value(block) for block in blocks]
+        if scale != self._scale:
+            # The scale grew; every read is memoized now, at that scale.
             scale = self._scale
-            # A memoized 0 falls through to _value, which returns it.
-            values = [memo.get(block) or self._value(block) for block in blocks]
-            if scale == self._scale:
-                break
+            values = [memo[block] for block in blocks]
         total = scale ** len(assign) // m.denominator * m.numerator
         for mult, ids in groups:
             for r in ids:

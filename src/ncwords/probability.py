@@ -11,7 +11,7 @@ Moment tables are loaded from JSON of the form::
      "moments": [{"word": ["a"], "value": "1/2"},
                  {"word": ["a", "b"], "value": "0/1"}]}
 
-with every value a ``p/q`` string.
+with every value a ``p/q`` string.  A rule's values join the table.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class MomentFunctional:
     optional generative rule.  A rule's value is converted with
     ``Fraction``, like a table's, so an ``int`` or a ``float`` gives its
     exact rational; one that ``Fraction`` rejects is a ``ValueError``
-    naming the monomial.  Rule results are memoized; the cache is a
-    plain dict whose entries are only ever written once per key with an
+    naming the monomial.  Rule results are memoized in the same dict as
+    the table, whose entries are only ever written once per key with an
     identical value, so concurrent readers are safe.
     """
 
@@ -94,7 +94,6 @@ class MomentFunctional:
         if unit != 1:
             raise ValueError(f"the empty monomial must have expectation 1, got {unit}")
         self._rule = rule
-        self._rule_cache: dict[tuple[str, ...], Fraction] = {}
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -110,9 +109,6 @@ class MomentFunctional:
         if hit is not None:
             return hit
         if self._rule is not None:
-            cached = self._rule_cache.get(factors)
-            if cached is not None:
-                return cached
             value = self._rule(factors)
             if value is not None:
                 try:
@@ -122,7 +118,7 @@ class MomentFunctional:
                         f"moment rule gave {value!r} for monomial {'*'.join(factors)},"
                         " not a rational"
                     ) from None
-                self._rule_cache[factors] = value
+                self._table[factors] = value
                 return value
         raise MissingMomentError(factors)
 

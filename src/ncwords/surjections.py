@@ -9,7 +9,9 @@ in bijection with set partitions of ``[n]``, and a partition is
 non-crossing exactly when its value sequence is a non-crossing word.
 
 Elements and block labels are 1-based here, matching the usual
-combinatorial notation; words elsewhere use 0-based letter ids.
+combinatorial notation; words elsewhere use 0-based letter ids.  The
+non-crossing scan that the position search runs is defined once, as
+:func:`ncwords.words.is_noncrossing_seq`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class CanonicalSurjection:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", tuple(self.assignment))
+        if type(self.n) is not int or type(self.m) is not int:
+            raise TypeError(f"n and m must be ints, got n={self.n!r}, m={self.m!r}")
         if self.n < 1 or len(self.assignment) != self.n:
             raise ValueError(f"assignment length {len(self.assignment)} does not match n={self.n}")
         if not {int}.issuperset(map(type, self.assignment)):
@@ -71,25 +75,6 @@ def _block_ids(f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, blocks))
 
 
-def _restricted_growth(k: int) -> list[tuple[int, ...]]:
-    """The restricted growth strings of length ``k``, sorted by codomain
-    size and then assignment."""
-    out: list[tuple[int, ...]] = []
-    f = [0] * k
-
-    def grow(j: int, mx: int) -> None:
-        if j == k:
-            out.append(tuple(f))
-            return
-        for v in range(1, mx + 2):
-            f[j] = v
-            grow(j + 1, max(mx, v))
-
-    grow(0, 0)
-    out.sort(key=lambda a: (max(a), a))
-    return out
-
-
 # Cached: a coassociativity check asks for the same few sizes again and again.
 @functools.cache
 def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
@@ -98,7 +83,20 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tuple(_surjection(a) for a in _restricted_growth(n))
+    # Restricted growth strings, bucketed by codomain size as in _nc_search.
+    found: list[list[CanonicalSurjection]] = [[] for _ in range(n)]
+    f = [0] * n
+
+    def grow(j: int, m: int) -> None:
+        if j == n:
+            found[m - 1].append(_surjection(tuple(f)))
+            return
+        for v in range(1, m + 2):
+            f[j] = v
+            grow(j + 1, max(m, v))
+
+    grow(0, 0)
+    return tuple([s for bucket in found for s in bucket])
 
 
 def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]], T]) -> list[T]:
@@ -111,14 +109,12 @@ def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]]
     ``masks[b - 1]`` is the bit set of the letters of block ``b``.  Both
     lists change as the search goes on, so ``leaf`` copies what it keeps.
 
-    The search walks the positions of ``seq``, running the stack scan of
-    :func:`~ncwords.words.is_noncrossing_seq` on the image as it grows.
-    At its first occurrence a letter joins a new block, pushed on the
-    stack, or a block still open on it, which closes the blocks above.  A
-    later occurrence must find its block open, and also closes the blocks
-    above it.  Labels grow up the stack, so one int holds it as a bit
-    set of open labels, with the top at the highest bit, and every step
-    is a few operations on that int instead of a rescan of the image.
+    The search walks the positions of ``seq``, running the scan of
+    :func:`~ncwords.words.is_noncrossing_seq` on the image as it grows,
+    with blocks for its labels.  At its first occurrence a letter
+    chooses its block: a new one, pushed on the stack, or one still
+    open, which closes the blocks above.  Every step is a few operations
+    on the stack's int instead of a rescan of the image.
     """
     seq = tuple(seq)
     n = len(seq)

@@ -17,7 +17,9 @@ Conventions used throughout the package:
 - :func:`restrict` deletes the letters outside a set and re-indexes the
   rest; :func:`restrict_seq` is the same operation on a plain id tuple.
 - A word is *non-crossing* when no two distinct letters occur interleaved
-  as ``a .. b .. a .. b``.
+  as ``a .. b .. a .. b``, and *reduced* when it is its own normal form.
+  A *basis word* is pangrammatic and reduced; ``_check_basis_word``, the
+  one check of the decompositions and cumulants, refuses other words.
 
 All values are immutable and every operation returns a fresh word, so
 everything here is safe for unrestricted concurrent use.
@@ -41,6 +43,10 @@ class EmptyRestrictionError(ValueError):
     """Raised when a restriction would delete every letter of a word."""
 
 
+class CrossingWordError(ValueError):
+    """Raised when a non-crossing operation receives a crossing word."""
+
+
 @dataclass(frozen=True, eq=False)
 class Alphabet:
     """An ordered finite set of letters with ids ``0..k-1``.
@@ -62,6 +68,8 @@ class Alphabet:
     @classmethod
     def numeric(cls, k: int) -> "Alphabet":
         """The alphabet ``1, 2, ..., k`` with numeric display names."""
+        if type(k) is not int:
+            raise TypeError(f"alphabet size must be an int, got {k!r}")
         if k < 1:
             raise ValueError("alphabet size must be >= 1")
         return cls(tuple(str(i) for i in range(1, k + 1)))
@@ -69,13 +77,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.names)
-
-    def subset(self, ids: Iterable[int]) -> "Alphabet":
-        """The sub-alphabet of the given letter ids, in increasing id order."""
-        picked = sorted(set(ids))
-        if any(i < 0 or i >= self.size for i in picked):
-            raise ValueError(f"letter ids {picked} out of range for alphabet of size {self.size}")
-        return Alphabet(tuple(self.names[i] for i in picked))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.size == other.size
@@ -166,12 +167,8 @@ def parse_word(text: str) -> Word:
     names = text.split(",") if "," in text else list(text)
     if any(not n for n in names):
         raise ValueError(f"malformed word {text!r}: empty letter name")
-    order: list[str] = []
-    for n in names:
-        if n not in order:
-            order.append(n)
-    index = {n: i for i, n in enumerate(order)}
-    return Word(Alphabet(tuple(order)), tuple(index[n] for n in names))
+    index = {n: i for i, n in enumerate(dict.fromkeys(names))}
+    return Word(Alphabet(tuple(index)), tuple(index[n] for n in names))
 
 
 def render_word(w: Word, prefer_chars: bool = True) -> str:
@@ -188,11 +185,8 @@ def render_word(w: Word, prefer_chars: bool = True) -> str:
 
 
 def is_reduced(w: Word) -> bool:
-    """No adjacent repeated letter, and first != last unless length one."""
-    s = w.seq
-    if any(s[i] == s[i + 1] for i in range(len(s) - 1)):
-        return False
-    return len(s) == 1 or s[0] != s[-1]
+    """Whether the word is its own normal form (see :func:`reduce_seq`)."""
+    return reduce_seq(w.seq) == w.seq
 
 
 def is_pangrammatic(w: Word) -> bool:
@@ -203,26 +197,22 @@ def is_pangrammatic(w: Word) -> bool:
 def is_noncrossing_seq(seq: Sequence[int]) -> bool:
     """Whether an id sequence avoids the pattern ``a .. b .. a .. b``.
 
-    Single left-to-right scan: letters are kept on a stack of currently
-    open letters; returning to a letter below the top closes everything
-    above it for good, and revisiting a closed letter is a crossing.
+    Single left-to-right scan over a stack of open letters: a first
+    occurrence is pushed, and a later one must find its letter open and
+    closes every letter above it for good.  Letters are labelled in
+    order of first occurrence, so labels grow up the stack, and one int
+    holds it as the bit set of open labels.
     """
-    stack: list[int] = []
-    on: set[int] = set()
-    closed: set[int] = set()
+    label: dict[int, int] = {}
+    stack = 0
     for x in seq:
-        if stack and stack[-1] == x:
-            continue
-        if x in closed:
+        b = label.get(x)
+        if b is None:
+            stack |= 1 << label.setdefault(x, len(label))
+        elif stack >> b & 1:
+            stack &= (2 << b) - 1
+        else:
             return False
-        if x in on:
-            while stack[-1] != x:
-                y = stack.pop()
-                on.discard(y)
-                closed.add(y)
-            continue
-        stack.append(x)
-        on.add(x)
     return True
 
 
@@ -282,7 +272,10 @@ def restrict(w: Word, keep: Iterable[int]) -> Word:
     'abab'
     """
     ids = sorted(set(keep))
-    sub = w.alphabet.subset(ids)
+    names = w.alphabet.names
+    if any(i < 0 or i >= len(names) for i in ids):
+        raise ValueError(f"letter ids {ids} out of range for alphabet of size {len(names)}")
+    sub = Alphabet(tuple(names[i] for i in ids))
     kept = restrict_seq(w.seq, ids)
     if not kept:
         raise EmptyRestrictionError(
@@ -300,6 +293,17 @@ def restrict_seq(seq: Sequence[int], ids: Sequence[int]) -> tuple[int, ...]:
     """
     rank = {x: r for r, x in enumerate(ids)}
     return tuple(rank[x] for x in seq if x in rank)
+
+
+def _check_basis_word(w: Word, noncrossing: bool = False) -> None:
+    """Raise unless ``w`` is pangrammatic, reduced and, with
+    ``noncrossing`` set, non-crossing (:class:`CrossingWordError`)."""
+    if not is_pangrammatic(w):
+        raise ValueError(f"word {render_word(w)!r} does not use every alphabet letter")
+    if not is_reduced(w):
+        raise ValueError(f"word {render_word(w)!r} is not reduced")
+    if noncrossing and not is_noncrossing(w):
+        raise CrossingWordError(f"word {render_word(w)!r} is crossing")
 
 
 def apply_map(

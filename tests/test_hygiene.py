@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports in the package, and a clean ``__all__``."""
+"""Source hygiene: no unused imports in the package, a pinned import
+graph between its modules, and a clean ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,36 @@ def unused_imports(path):
         ):
             used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def sibling_imports(path):
+    """The package modules that ``path`` imports, by relative import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def test_import_graph():
+    # Each definition has one owning module; in particular the cumulants
+    # take the basis-word check from words, not from the cooperad.
+    edges = {(p.stem, sibling) for p in MODULES for sibling in sibling_imports(p)}
+    package = {"words", "surjections", "cooperad", "probability", "cumulants"}
+    assert edges == {("__init__", name) for name in package} | {
+        ("cli", "cooperad"),
+        ("cli", "cumulants"),
+        ("cli", "probability"),
+        ("cli", "surjections"),
+        ("cli", "words"),
+        ("cooperad", "surjections"),
+        ("cooperad", "words"),
+        ("cumulants", "probability"),
+        ("cumulants", "surjections"),
+        ("cumulants", "words"),
+        ("surjections", "words"),
+    }
 
 
 def test_package_modules_found():

@@ -39,6 +39,15 @@ class TestCanonicalSurjection:
             CanonicalSurjection(2, 2, assignment)
         assert str(info.value) == f"assignment values must be ints, got {assignment}"
 
+    @pytest.mark.parametrize(
+        "n, m, assignment",
+        [(2.0, 2, (1, 2)), (2, 2.0, (1, 2)), (True, 1, (1,)), (1, True, (1,)), ("2", 2, (1, 2))],
+    )
+    def test_n_and_m_must_be_ints(self, n, m, assignment):
+        with pytest.raises(TypeError) as info:
+            CanonicalSurjection(n, m, assignment)
+        assert str(info.value) == f"n and m must be ints, got n={n!r}, m={m!r}"
+
 
 class TestEnumeration:
     def test_counts_are_bell_numbers(self):

@@ -62,11 +62,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet.numeric(0)
 
-    def test_subset(self):
-        abc = Alphabet(("a", "b", "c"))
-        assert abc.subset([2, 0]).names == ("a", "c")
-        with pytest.raises(ValueError):
-            abc.subset([3])
+    @pytest.mark.parametrize("k", [2.0, True, "2", None])
+    def test_numeric_size_must_be_int(self, k):
+        # bool is refused too, as for letter ids
+        with pytest.raises(TypeError) as info:
+            Alphabet.numeric(k)
+        assert str(info.value) == f"alphabet size must be an int, got {k!r}"
 
 
 class TestWord:
@@ -194,6 +195,25 @@ class TestRestrict:
     def test_empty_restriction_error(self):
         with pytest.raises(EmptyRestrictionError):
             restrict(Word(Alphabet.numeric(3), (0, 1)), [2])
+
+    def test_subalphabet_in_increasing_id_order(self):
+        w = restrict(parse_word("abc"), [2, 0])
+        assert w.alphabet.names == ("a", "c")
+        assert w.seq == (0, 1)
+
+    @pytest.mark.parametrize("keep", [[3], [-1], [0, 3]])
+    def test_ids_out_of_range(self, keep):
+        with pytest.raises(ValueError) as info:
+            restrict(parse_word("abc"), keep)
+        ids = sorted(keep)
+        assert str(info.value) == f"letter ids {ids} out of range for alphabet of size 3"
+
+    def test_nothing_kept_is_an_empty_alphabet(self):
+        # the empty sub-alphabet is refused before the empty restriction
+        with pytest.raises(ValueError) as info:
+            restrict(parse_word("abc"), [])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "alphabet must contain at least one letter"
 
     @given(words())
     def test_preserves_noncrossing(self, w):
