@@ -21,11 +21,13 @@ re-validation; the public constructors keep every check.
 
 ``check_coassociativity`` verifies, chain by chain, that composing
 ``_term`` in two stages does not depend on the order of the stages.
-Chains share most of their sub-terms, so one check computes each
-distinct one once: a table of the word's terms along every surjection,
-read by index, and bounded memos, all dropped on return.  Two process
-caches hold only what does not depend on the word: ``_layout``, per
-assignment, and ``_composites``, per alphabet size.
+What a chain needs of the surjections alone comes from process tables
+per alphabet size: ``_chains`` gives, for each ``f``, the index of each
+``g . f`` and ``f`` relabelled on each set of its blocks, and
+``_block_sets`` the blocks of each ``g`` as bit sets.  What depends on
+the word, its term along every surjection and bounded memos of the
+sub-terms that chains share, is computed once per call and dropped on
+return; ``_layout`` caches per assignment.
 Crossing words generate a coideal: every term of their decomposition
 has a crossing outer or a crossing inner word, which is what
 ``crossing_ideal_witness`` tests and what makes the non-crossing variant
@@ -210,19 +212,50 @@ def format_term(term: DecompositionTerm, prefer_chars: bool = True) -> str:
 
 
 @lru_cache(maxsize=None)
-def _composites(k: int) -> tuple[Seq, ...]:
-    """For the ``i``-th canonical surjection ``f`` of ``[k]``, the index
-    of ``g . f`` among them for each ``g`` on the blocks of ``f``, both
-    in :func:`enumerate_canonical_surjections` order."""
-    fs = enumerate_canonical_surjections(k)
-    index = {f.assignment: i for i, f in enumerate(fs)}
+def _block_sets(m: int) -> tuple[tuple[Seq, Seq], ...]:
+    """For each canonical surjection ``g`` of ``[m]``, in
+    :func:`enumerate_canonical_surjections` order: its assignment and
+    the bit set of each of its blocks, bit ``t`` for element ``t + 1``."""
     return tuple(
-        tuple(
-            index[tuple([g.assignment[t - 1] for t in f.assignment])]
-            for g in enumerate_canonical_surjections(f.m)
-        )
-        for f in fs
+        (g.assignment, tuple([sum(1 << t for t in ids) for ids in _block_ids(g.assignment)]))
+        for g in enumerate_canonical_surjections(m)
     )
+
+
+@lru_cache(maxsize=None)
+def _chains(k: int) -> tuple[tuple[Seq, Seq, tuple[tuple[Seq, Seq], ...]], ...]:
+    """For each canonical surjection ``f`` of ``[k]``, in
+    :func:`enumerate_canonical_surjections` order: its assignment; the
+    index of ``g . f`` for each ``g`` of :func:`_block_sets` on the
+    blocks of ``f``; and, indexed by the bit set ``S`` of a nonempty set
+    of ``f``'s blocks, ``f`` on the letters of those blocks relabelled
+    1, 2, ..., with the 0-based labels of ``S`` in order.  Equal tuples
+    are shared, so the k=8 table holds about 4 MB."""
+    fs = [f.assignment for f in enumerate_canonical_surjections(k)]
+    index = {fa: i for i, fa in enumerate(fs)}
+    shared: dict = {}
+    # Per number of blocks m, per bit set S: the labels of S and, for
+    # each 1-based block, its 1-based rank in S, or 0 if not in S.
+    subsets: dict[int, list[tuple[Seq, list[int]]]] = {}
+    rows = []
+    for fa in fs:
+        m = max(fa)
+        if m not in subsets:
+            subsets[m] = []
+            for S in range(1 << m):
+                labels = tuple([t for t in range(m) if S >> t & 1])
+                rank = [0] * (m + 1)
+                for r, t in enumerate(labels, start=1):
+                    rank[t + 1] = r
+                subsets[m].append((labels, rank))
+        composites = tuple([index[tuple([ga[t - 1] for t in fa])] for ga, _ in _block_sets(m)])
+        parts: list[tuple[Seq, Seq]] = [((), ())]
+        for labels, rank in subsets[m][1:]:
+            fu = tuple([r for r in map(rank.__getitem__, fa) if r])
+            part = (shared.setdefault(fu, fu), labels)
+            parts.append(shared.setdefault(part, part))
+        rows.append((fa, composites, tuple(parts)))
+    return tuple(rows)
 
 
 def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
@@ -238,73 +271,64 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
 
     With ``noncrossing`` set, both routes additionally filter on
     non-crossing unreduced images, and the filters themselves must agree
-    chain by chain; the input word must then be non-crossing.
+    chain by chain; the input word must then be non-crossing.  A chain
+    that both filters drop is not decomposed further.
 
-    ``_term`` is a pure function of two int tuples, and many chains ask
-    for the same term (every singleton block, for one, gives the same
-    one), so the check computes each distinct term once.  Each ``g . f``
-    is again one of the Bell(k) canonical surjections of the alphabet:
-    the check tabulates the word's term along each of them and, with
-    ``noncrossing`` set, whether its image is non-crossing, and a chain
-    reads the entries of ``g . f`` at the index ``_composites`` gives.
-    The outer-first terms and, per inner-first block, the relabelled
-    restriction of ``f`` with its term and filter sit in memos of at
-    most ``_MEMO_SIZE`` entries each, least recently used first out.
-    The table and the memos belong to the call, so no result outlives
-    it and memory stays bounded on long words.  The process caches hold
-    nothing of the word: ``_layout`` keeps at most ``_MEMO_SIZE``
-    assignments' block layouts, and ``_composites`` one small int per
-    chain for each alphabet size checked (358 for k=5, 167894 for k=8).
+    Most of a chain does not depend on the word: ``_chains(k)`` gives,
+    per ``f``, the index of each ``g . f`` among the Bell(k) surjections
+    and, per set ``S`` of ``f``'s blocks, ``f`` on the letters of ``S``
+    relabelled 1, 2, ... with the labels of ``S``; ``_block_sets(m)``
+    gives each block of ``g`` as such a set.  As these tables, not the
+    kernel's block ids, fix each block's letters, the check first tests,
+    once per call, that the kernel gives every term along ``f`` the
+    block ids of ``_layout(f)``, and returns ``False`` if not.
+
+    The word's terms along every ``f`` and their filters are computed
+    once per call; the terms along ``g`` and along ``f`` on a block of
+    ``g . f``, which many chains share, and the latter's filters sit in
+    memos of at most ``_MEMO_SIZE`` entries, least recently used first
+    out.  All of it is dropped on return, so nothing of the word
+    outlives the call.  The tables hold one entry per ``f`` and set of
+    its blocks (85778 for k=8), not one per chain (167894).
     """
     _check_basis_word(w, noncrossing)
     s = w.seq
     term = lru_cache(maxsize=_MEMO_SIZE)(_term)
 
     @lru_cache(maxsize=_MEMO_SIZE)
-    def part(wa: Seq, fb: Seq) -> tuple[Seq, Seq, tuple[Seq, ...], bool]:
-        # One inner-first block: its word ``wa`` along f on the block,
-        # given as the block's values ``fb`` of f, relabelled 1, 2, ...
-        # in order; also which f-blocks the inner words belong to.
-        ts = tuple(sorted(set(fb)))
-        rank = {t: r for r, t in enumerate(ts, start=1)}
-        fu = tuple(rank[t] for t in fb)
-        alive = not noncrossing or is_noncrossing_seq([fu[x] for x in wa])
-        mid, sub_blocks = term(wa, fu)
-        return ts, mid, tuple(inner for _, inner in sub_blocks), alive
+    def alive(wa: Seq, fu: Seq) -> bool:
+        return is_noncrossing_seq([fu[x] for x in wa])
 
-    k = w.alphabet.size
-    fs = [f.assignment for f in enumerate_canonical_surjections(k)]
-    terms = [term(s, fa) for fa in fs]
-    nc = [not noncrossing or is_noncrossing_seq([fa[x] for x in s]) for fa in fs]
-    for fa, (outer_f, blocks_f), f_alive, composites in zip(fs, terms, nc, _composites(k)):
+    rows = _chains(w.alphabet.size)
+    terms = [term(s, fa) for fa, _, _ in rows]
+    for (fa, _, _), (_, blocks) in zip(rows, terms):
+        if tuple([ids for ids, _ in blocks]) != _layout(fa)[0]:
+            return False
+    nc = [not noncrossing or is_noncrossing_seq([fa[x] for x in s]) for fa, _, _ in rows]
+    for (_, composites, parts), (outer_f, blocks_f), f_alive in zip(rows, terms, nc):
         inners_f = [inner for _, inner in blocks_f]
-        m = len(blocks_f)
-        for g, hi in zip(enumerate_canonical_surjections(m), composites):
-            ga = g.assignment
-            lhs_outer, lhs_blocks = term(outer_f, ga)
+        for (ga, sets), hi in zip(_block_sets(len(blocks_f)), composites):
             # Inner-first: along g . f, then each block's word along f on it.
             rhs_outer, rhs_blocks = terms[hi]
-            rhs_mids = []
-            rhs_inners: list[Seq] = [()] * m
-            parts_alive = True
-            for ids, wa in rhs_blocks:
-                ts, mid, inners, alive = part(wa, tuple(map(fa.__getitem__, ids)))
-                parts_alive = parts_alive and alive
-                rhs_mids.append(mid)
-                for t, inner in zip(ts, inners):
-                    rhs_inners[t - 1] = inner
-
             if noncrossing:
                 lhs_alive = f_alive and is_noncrossing_seq([ga[x] for x in outer_f])
-                rhs_alive = nc[hi] and parts_alive
+                rhs_alive = nc[hi] and all(
+                    [alive(wa, parts[S][0]) for S, (_, wa) in zip(sets, rhs_blocks)]
+                )
                 if lhs_alive != rhs_alive:
                     return False
                 if not lhs_alive:
                     continue
-            if lhs_outer != rhs_outer:
+            lhs_outer, lhs_blocks = term(outer_f, ga)
+            # The lengths are compared too: zip would hide a missing block.
+            if lhs_outer != rhs_outer or len(lhs_blocks) != len(sets):
                 return False
-            if [mid for _, mid in lhs_blocks] != rhs_mids:
-                return False
-            if inners_f != rhs_inners:
-                return False
+            for S, (_, wa), (_, lhs_mid) in zip(sets, rhs_blocks, lhs_blocks):
+                fu, labels = parts[S]
+                mid, sub_blocks = term(wa, fu)
+                if mid != lhs_mid or len(sub_blocks) != len(labels):
+                    return False
+                for t, (_, inner) in zip(labels, sub_blocks):
+                    if inner != inners_f[t]:
+                        return False
     return True

@@ -75,14 +75,14 @@ def _block_ids(f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, blocks))
 
 
-# Cached: a coassociativity check asks for the same few sizes again and again.
-@functools.cache
+# Cached: decompositions ask for the same few sizes again and again.
+# Typed, so that ``True`` is not served the entry of ``1``.
+@functools.lru_cache(maxsize=None, typed=True)
 def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     """All canonical surjections from ``[n]``, sorted by codomain size and
     then lexicographically by assignment.  There are Bell(n) of them.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n)
     # Restricted growth strings, bucketed by codomain size as in _nc_search.
     found: list[list[CanonicalSurjection]] = [[] for _ in range(n)]
     f = [0] * n
@@ -97,6 +97,14 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
 
     grow(0, 0)
     return tuple([s for bucket in found for s in bucket])
+
+
+def _check_size(n: int) -> None:
+    """Refuse an enumerator size that is not a plain ``int`` >= 1."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]], T]) -> list[T]:
@@ -192,7 +200,6 @@ def enumerate_nc_partitions(n: int) -> tuple[CanonicalSurjection, ...]:
     Catalan(n) of them, found by the position scan of
     :func:`nc_image_assignments` without visiting the Bell(n) others.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n)
     return tuple(_surjection(a) for a in nc_image_assignments(range(n), n))
 

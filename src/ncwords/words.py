@@ -4,11 +4,12 @@ Conventions used throughout the package:
 
 - An :class:`Alphabet` is an ordered finite set of letters.  Letters are
   identified by position, so letter ids are always the ints ``0..k-1``
-  (:class:`Word` refuses other types, and ``bool``, an ``int`` subclass,
-  as a likely mistake).  Display names are presentation only: they drive
-  parsing and rendering but never participate in equality.  Structurally,
-  two alphabets of the same size are interchangeable, which is what makes
-  relabelling invariance a non-event at the data level.
+  (:class:`Word` and :func:`restrict` refuse other types, and ``bool``,
+  an ``int`` subclass, as a likely mistake).  Display names are
+  presentation only: they drive parsing and rendering but never
+  participate in equality.  Structurally, two alphabets of the same size
+  are interchangeable, which is what makes relabelling invariance a
+  non-event at the data level.
 - A :class:`Word` is a nonempty sequence of letter ids over its alphabet.
 - :func:`reduce_word` rewrites a word to its unique normal form under the
   two rules "collapse an adjacent repeated letter" and "drop a final
@@ -271,6 +272,9 @@ def restrict(w: Word, keep: Iterable[int]) -> Word:
     >>> str(restrict(parse_word("abcab"), [0, 1]))
     'abab'
     """
+    keep = list(keep)
+    if not {int}.issuperset(map(type, keep)):
+        raise TypeError(f"letter ids to keep must be ints, got {keep}")
     ids = sorted(set(keep))
     names = w.alphabet.names
     if any(i < 0 or i >= len(names) for i in ids):

@@ -120,6 +120,45 @@ def oracle_decomposition(seq, k: int, noncrossing: bool = False):
     return terms
 
 
+def oracle_check_coassociativity(seq, k: int, term, noncrossing: bool = False) -> bool:
+    """``check_coassociativity``'s verdict on an id sequence on ``k``
+    letters, walked chain by chain with no table and no memo: ``term``
+    is the kernel under test, called afresh for every chain.  ``g . f``
+    is composed from the two assignments, and each inner-first block
+    takes ``f`` on the block ids ``term`` returned, relabelled by rank."""
+    seq = tuple(seq)
+    for f in oracle_assignments(k):
+        outer_f, blocks_f = term(seq, f)
+        m = len(blocks_f)
+        for g in oracle_assignments(m):
+            h = tuple([g[b - 1] for b in f])
+            lhs_outer, lhs_blocks = term(outer_f, g)
+            rhs_outer, rhs_blocks = term(seq, h)
+            rhs_mids = []
+            rhs_inners = [()] * m
+            images = [(f, seq), (g, outer_f), (h, seq)]
+            for ids, wa in rhs_blocks:
+                labels = sorted({f[x] for x in ids})
+                fu = tuple([labels.index(f[x]) + 1 for x in ids])
+                images.append((fu, wa))
+                mid, sub_blocks = term(wa, fu)
+                rhs_mids.append(mid)
+                for t, (_, inner) in zip(labels, sub_blocks):
+                    rhs_inners[t - 1] = inner
+            if noncrossing:
+                alive = [_oracle_noncrossing(tuple([a[x] for x in w])) for a, w in images]
+                lhs_alive = alive[0] and alive[1]
+                if lhs_alive != all(alive[2:]):
+                    return False
+                if not lhs_alive:
+                    continue
+            if lhs_outer != rhs_outer or [mid for _, mid in lhs_blocks] != rhs_mids:
+                return False
+            if [inner for _, inner in blocks_f] != rhs_inners:
+                return False
+    return True
+
+
 def iter_all_seqs(k: int, max_len: int):
     for length in range(1, max_len + 1):
         yield from itertools.product(range(k), repeat=length)

@@ -1,0 +1,101 @@
+"""Boundary fuzzing of the public constructors and of the entry points
+that take letter ids or sizes.
+
+Whatever the arguments, each call must return a value or raise a
+``ValueError`` or ``TypeError`` whose message is one nonempty line:
+never another exception, and never a traceback from deep inside.  The
+examples are derandomized and their number fixed, so the file runs the
+same cases every time; enumerator sizes stay at n <= 8.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ncwords import (
+    Alphabet,
+    CanonicalSurjection,
+    Word,
+    enumerate_canonical_surjections,
+    enumerate_nc_partitions,
+    parse_word,
+    restrict,
+)
+
+from oracles import BELL, CATALAN
+
+FUZZ = settings(derandomize=True, max_examples=50, deadline=None, database=None)
+
+scalars = st.one_of(
+    st.integers(-3, 8),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+)
+# A scalar, or a short sequence of them: what a caller may pass for a
+# size, a letter id, or a collection of either.
+values = st.one_of(scalars, st.lists(scalars, max_size=6), st.lists(scalars, max_size=6).map(tuple))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the ``ValueError`` or ``TypeError`` it raised,
+    after checking that its message is one nonempty line."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as exc:
+        message = str(exc)
+        assert message and "\n" not in message, repr(message)
+        return exc
+
+
+class TestBoundary:
+    @FUZZ
+    @given(st.one_of(values, st.lists(st.text(max_size=2), max_size=4)))
+    def test_alphabet(self, names):
+        result = outcome(Alphabet, names)
+        if isinstance(result, Alphabet):
+            assert result.size == len(result.names) >= 1
+
+    @FUZZ
+    @given(values)
+    def test_numeric_alphabet(self, k):
+        result = outcome(Alphabet.numeric, k)
+        if isinstance(result, Alphabet):
+            assert type(k) is int and result.size == k
+
+    @FUZZ
+    @given(st.integers(1, 4), values)
+    def test_word(self, k, seq):
+        result = outcome(Word, Alphabet.numeric(k), seq)
+        if isinstance(result, Word):
+            assert result.seq and set(map(type, result.seq)) == {int}
+            assert all(0 <= x < k for x in result.seq)
+
+    @FUZZ
+    @given(values, values, values)
+    def test_canonical_surjection(self, n, m, assignment):
+        result = outcome(CanonicalSurjection, n, m, assignment)
+        if isinstance(result, CanonicalSurjection):
+            assert type(result.n) is int and type(result.m) is int
+            assert max(result.assignment) == result.m
+
+    @FUZZ
+    @given(st.sampled_from(["a", "abcb", "abacdc"]), values)
+    def test_restrict(self, text, keep):
+        w = parse_word(text)
+        result = outcome(restrict, w, keep)
+        if isinstance(result, Word):
+            assert all(type(x) is int for x in keep)
+            assert result.alphabet.size == len(set(keep))
+            assert set(result.seq) <= set(range(result.alphabet.size))
+
+    @FUZZ
+    @given(values)
+    @pytest.mark.parametrize(
+        "enumerate_, counts",
+        [(enumerate_canonical_surjections, BELL), (enumerate_nc_partitions, CATALAN)],
+    )
+    def test_enumerators(self, enumerate_, counts, n):
+        result = outcome(enumerate_, n)
+        if not isinstance(result, Exception):
+            assert type(n) is int and len(result) == counts[n]

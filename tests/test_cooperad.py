@@ -2,15 +2,17 @@
 
 The headline example (the four-letter word on three letters) is frozen
 term by term; both decompositions equal a brute-force oracle term by
-term on small bases, and so do the term kernel and the check's table of
-composites, piece by piece; every term, built without re-validation,
+term on small bases, and so do the term kernel and the check's chain
+tables, piece by piece; every term, built without re-validation,
 passes the public constructors; the structural laws (coassociativity, the crossing
 ideal, counit shape, equivariance under relabelling) are checked over
 small enumerated bases.  The filter-agreement test records that selecting
 terms by crossing of the unreduced image never differs from selecting
-by the reduced image.  The memo tests corrupt or count the term kernel
-to show that the coassociativity check's per-call sharing neither hides
-a fault nor outlives the call.
+by the reduced image.  The check's verdict equals that of a
+chain-by-chain oracle under the real kernel and two faulty ones.  The
+memo tests corrupt or count the term kernel to show that the
+coassociativity check's per-call sharing neither hides a fault nor
+outlives the call.
 """
 
 import itertools
@@ -36,12 +38,13 @@ from ncwords import (
     format_term,
     is_noncrossing,
     parse_word,
+    random_basis_word,
     reduce_word,
 )
 from ncwords import cooperad
 from ncwords.words import restrict_seq
 
-from oracles import BELL, oracle_decomposition
+from oracles import BELL, oracle_check_coassociativity, oracle_decomposition
 
 FOUR_LETTER = "a1,a2,a1,a3"
 
@@ -194,7 +197,7 @@ class TestKernel:
     def test_composites_index_g_after_f(self, k, chains):
         # the row lengths sum to the chain count, OEIS A000258
         fs = enumerate_canonical_surjections(k)
-        rows = cooperad._composites(k)
+        rows = [composites for _, composites, _ in cooperad._chains(k)]
         assert len(rows) == len(fs)
         for f, row in zip(fs, rows):
             gs = enumerate_canonical_surjections(f.m)
@@ -203,6 +206,27 @@ class TestKernel:
                 h = [g.assignment[f.assignment[x] - 1] for x in range(k)]
                 assert hi == fs.index(CanonicalSurjection(k, g.m, h))
         assert sum(map(len, rows)) == chains
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_chain_tables_match_naive_construction(self, k):
+        # per f, each nonempty set S of its blocks: f on the letters of
+        # those blocks relabelled 1, 2, ... and the 0-based labels of S;
+        # per g on [m], the bit set of each block
+        fs = enumerate_canonical_surjections(k)
+        rows = cooperad._chains(k)
+        assert [fa for fa, _, _ in rows] == [f.assignment for f in fs]
+        for f, (_, _, parts) in zip(fs, rows):
+            assert len(parts) == 2**f.m
+            for S in range(1, 2**f.m):
+                labels = tuple(t for t in range(f.m) if S & 2**t)
+                letters = [x for x in range(k) if f.assignment[x] - 1 in labels]
+                fu = tuple(labels.index(f.assignment[x] - 1) + 1 for x in letters)
+                assert parts[S] == (fu, labels), (f, S)
+        gs = cooperad._block_sets(k)
+        assert len(gs) == len(fs)
+        for g, (ga, sets) in zip(fs, gs):
+            assert ga == g.assignment
+            assert sets == tuple(sum(2 ** (e - 1) for e in block) for block in g.blocks())
 
     def test_terms_rebuild_through_public_constructors(self):
         # Terms are built without re-validation; every distinct surjection,
@@ -378,6 +402,46 @@ def swapped_inners(real):
     return term
 
 
+def reordered_blocks(real):
+    # a term's blocks listed last first, ids and words together
+    def term(seq, f):
+        outer, blocks = real(seq, f)
+        return outer, blocks[::-1]
+
+    return term
+
+
+def reversed_outer(real):
+    def term(seq, f):
+        outer, blocks = real(seq, f)
+        return outer[::-1], blocks
+
+    return term
+
+
+class TestCoassociativityOracle:
+    def test_verdict_matches_chain_by_chain_oracle(self, monkeypatch):
+        # every basis word with k<=4 and length<=6, which takes in every
+        # non-crossing one with k<=4, and a seeded sample at k=5, under
+        # the real kernel and two faulty ones
+        words = [w for k in range(1, 5) for w in enumerate_word_basis(Alphabet.numeric(k), 6)]
+        nc_basis = [w for k in range(1, 5) for w in enumerate_nc_basis(Alphabet.numeric(k))]
+        assert set(nc_basis) <= set(words)
+        rng = random.Random(5)
+        words += [random_basis_word(rng, 5, 9, nc) for nc in (False, True) for _ in range(6)]
+        real = cooperad._term
+        for kernel in (real, unreduced_inners(real), swapped_inners(real)):
+            monkeypatch.setattr(cooperad, "_term", kernel)
+            verdicts = set()
+            for w in words:
+                for nc in (False, True) if is_noncrossing(w) else (False,):
+                    verdict = check_coassociativity(w, nc)
+                    expected = oracle_check_coassociativity(w.seq, w.alphabet.size, kernel, nc)
+                    assert verdict == expected, (w, nc)
+                    verdicts.add(verdict)
+            assert verdicts == ({True} if kernel is real else {True, False})
+
+
 class TestCoassociativityMemo:
     """``check_coassociativity`` computes each distinct kernel term once
     per call; these tests show that this neither hides a faulty kernel
@@ -388,12 +452,21 @@ class TestCoassociativityMemo:
     UNSHARED_CALLS_K5 = 1585
 
     @pytest.mark.parametrize("noncrossing", [False, True])
-    @pytest.mark.parametrize("corrupt", [unreduced_inners, swapped_inners])
+    @pytest.mark.parametrize("corrupt", [unreduced_inners, swapped_inners, reordered_blocks])
     def test_corrupted_kernel_fails_the_check(self, monkeypatch, corrupt, noncrossing):
         w = parse_word("abacdefe")
         assert check_coassociativity(w, noncrossing)
         monkeypatch.setattr(cooperad, "_term", corrupt(cooperad._term))
         assert not check_coassociativity(w, noncrossing)
+
+    @pytest.mark.parametrize("noncrossing", [False, True])
+    @pytest.mark.parametrize("text, corrupt", [("ab", reordered_blocks), ("abc", reversed_outer)])
+    def test_fault_seen_by_one_comparison_alone(self, monkeypatch, text, corrupt, noncrossing):
+        # on these words every chain's middle and inner factors agree
+        # under the faulty kernel: only the block-id check sees blocks
+        # listed last first, and only the outer words show reversal
+        monkeypatch.setattr(cooperad, "_term", corrupt(cooperad._term))
+        assert not check_coassociativity(parse_word(text), noncrossing)
 
     @pytest.mark.parametrize("noncrossing", [False, True])
     def test_no_term_outlives_a_call(self, monkeypatch, noncrossing):

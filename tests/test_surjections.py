@@ -54,6 +54,25 @@ class TestEnumeration:
         for n in range(1, 9):
             assert len(enumerate_canonical_surjections(n)) == BELL[n]
 
+    @pytest.mark.parametrize(
+        "enumerate_", [enumerate_canonical_surjections, enumerate_nc_partitions]
+    )
+    @pytest.mark.parametrize("n", [True, False, 2.0, "2", None])
+    def test_size_must_be_int(self, enumerate_, n):
+        # bool is refused too, also once the entry of 1 is cached
+        assert len(enumerate_(1)) == 1
+        with pytest.raises(TypeError) as info:
+            enumerate_(n)
+        assert str(info.value) == f"n must be an int, got {n!r}"
+
+    @pytest.mark.parametrize(
+        "enumerate_", [enumerate_canonical_surjections, enumerate_nc_partitions]
+    )
+    def test_size_must_be_positive(self, enumerate_):
+        with pytest.raises(ValueError) as info:
+            enumerate_(0)
+        assert str(info.value) == "n must be >= 1"
+
     def test_order_and_contents_n3(self):
         fs = enumerate_canonical_surjections(3)
         assert [f.assignment for f in fs] == [

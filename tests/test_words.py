@@ -208,6 +208,13 @@ class TestRestrict:
         ids = sorted(keep)
         assert str(info.value) == f"letter ids {ids} out of range for alphabet of size 3"
 
+    @pytest.mark.parametrize("keep", [[True], [0, False], [0.5], [1.0], ["a"], [0, None]])
+    def test_ids_must_be_ints(self, keep):
+        # bool is refused too, as for a word's letter ids
+        with pytest.raises(TypeError) as info:
+            restrict(parse_word("abc"), keep)
+        assert str(info.value) == f"letter ids to keep must be ints, got {keep}"
+
     def test_nothing_kept_is_an_empty_alphabet(self):
         # the empty sub-alphabet is refused before the empty restriction
         with pytest.raises(ValueError) as info:
