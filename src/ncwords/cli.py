@@ -276,9 +276,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return 0
     if ns.command == "cumulants":
         return _run_cumulants(ns)
-    if ns.command == "moments":
-        return _run_moments(ns)
-    raise ValueError(f"unknown command {ns.command!r}")
+    # The subcommand is required, so only "moments" is left.
+    return _run_moments(ns)
 
 
 def main(argv: list[str] | None = None) -> int:

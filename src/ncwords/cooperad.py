@@ -14,20 +14,19 @@ computes a term on int tuples; ``_build_term`` wraps it in words for
 ``decompose_along`` and for ``_iter_terms``, the one term generator
 behind the two decompositions and the ``decompose`` command, which
 shares each block's inner word among the terms of one call.  ``_term``
-scans the word once; what it needs of ``f`` alone, each block's letters
-and each letter's block and rank in it, comes from ``_layout``.  The
-words built from its output are valid by construction, so they skip
-re-validation; the public constructors keep every check.
+scans the word once; what a term needs of ``f`` alone, down to the
+outer word's alphabet, comes from ``_layout``, a process cache per
+assignment.  The words built from its output are valid by construction,
+so they skip re-validation; the public constructors keep every check.
 
 ``check_coassociativity`` verifies, chain by chain, that composing
 ``_term`` in two stages does not depend on the order of the stages.
-What a chain needs of the surjections alone comes from process tables
-per alphabet size: ``_chains`` gives, for each ``f``, the index of each
-``g . f`` and ``f`` relabelled on each set of its blocks, and
-``_block_sets`` the blocks of each ``g`` as bit sets.  What depends on
-the word, its term along every surjection and bounded memos of the
-sub-terms that chains share, is computed once per call and dropped on
-return; ``_layout`` caches per assignment.
+What a chain needs of the surjections alone comes from ``_chains``, a
+process table per alphabet size: for each ``f``, the index of each
+``g . f``, ``f`` relabelled on each set of its blocks, and the blocks
+of each ``g`` as bit sets.  What depends on the word, its term along
+every surjection and memos of ``_MEMO_SIZE`` entries for the sub-terms
+that chains share, is computed once per call and dropped on return.
 Crossing words generate a coideal: every term of their decomposition
 has a crossing outer or a crossing inner word, which is what
 ``crossing_ideal_witness`` tests and what makes the non-crossing variant
@@ -61,11 +60,14 @@ from .words import (
 )
 
 Seq = tuple[int, ...]
+Pairs = tuple[tuple[Seq, Seq], ...]
 
-# Entries per memo of one coassociativity check, and per process cache
-# keyed by an assignment: more than the distinct sub-terms of any k=5
-# word, and a bound on what a long word can hold.
+# Entries per memo of one coassociativity check: more than the distinct
+# sub-terms of any k=5 word, and a bound on what a long word can hold.
 _MEMO_SIZE = 4096
+# Entries in the layout cache: more than the 5295 canonical assignments
+# on at most 8 letters, which a k=8 check or decomposition passes to it.
+_LAYOUT_SIZE = 6144
 
 
 @dataclass(frozen=True, eq=True)
@@ -78,20 +80,25 @@ class DecompositionTerm:
     inner: tuple[Word, ...]
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _layout(f: Seq) -> tuple[tuple[Seq, ...], Seq, Seq]:
+@lru_cache(maxsize=_LAYOUT_SIZE)
+def _layout(f: Seq) -> tuple[tuple[Seq, ...], Seq, Seq, Alphabet]:
     """What a term along the canonical assignment ``f`` needs of ``f``
-    alone: the letter ids of each block and, per letter, its 0-based
-    block and its rank among the letters of that block."""
+    alone: the letter ids of each block; per letter, its 0-based block
+    and its rank among the letters of that block; and the alphabet of
+    outer words, a letter per block named from its elements.  Block
+    {2,3} becomes letter "b23"; from ten letters on, {1,2} becomes
+    "b1_2", which {12} ("b12") cannot match."""
     ids = _block_ids(f)
     rank = [0] * len(f)
     for block in ids:
         for r, x in enumerate(block):
             rank[x] = r
-    return ids, tuple([b - 1 for b in f]), tuple(rank)
+    sep = "" if len(f) < 10 else "_"
+    names = tuple(["b" + sep.join([str(x + 1) for x in block]) for block in ids])
+    return ids, tuple([b - 1 for b in f]), tuple(rank), _trusted(Alphabet, names=names)
 
 
-def _term(seq: Seq, f: Seq) -> tuple[Seq, tuple[tuple[Seq, Seq], ...]]:
+def _term(seq: Seq, f: Seq) -> tuple[Seq, Pairs]:
     """The term of ``seq`` along the canonical assignment ``f`` (letter
     ``x`` goes to block ``f[x]``, 1-based): the reduced image on block ids
     ``0, 1, ...``, and per block its letter ids and the reduced
@@ -101,7 +108,7 @@ def _term(seq: Seq, f: Seq) -> tuple[Seq, tuple[tuple[Seq, Seq], ...]]:
     One scan of ``seq`` extends the image and each block's restriction,
     collapsing adjacent repeats as it goes; then each word drops a final
     letter equal to its first, which is the rest of the reduction."""
-    ids, block, rank = _layout(f)
+    ids, block, rank, _ = _layout(f)
     outer = [block[seq[0]]]
     # Each inner word starts with -1, which no rank equals, so the test
     # for a repeat needs no test for an empty word; it goes at the end.
@@ -123,16 +130,6 @@ def _term(seq: Seq, f: Seq) -> tuple[Seq, tuple[tuple[Seq, Seq], ...]]:
             word.pop()
         blocks.append((letters, tuple(word)))
     return tuple(outer), tuple(blocks)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _outer_alphabet(f: Seq) -> Alphabet:
-    """The alphabet of outer words along ``f``, a letter per block named
-    from its elements: block {2,3} becomes letter "b23"; from ten letters
-    on, {1,2} becomes "b1_2", which {12} ("b12") cannot match."""
-    sep = "" if len(f) < 10 else "_"
-    names = tuple("b" + sep.join(str(x + 1) for x in ids) for ids in _layout(f)[0])
-    return _trusted(Alphabet, names=names)
 
 
 def decompose_along(w: Word, f: CanonicalSurjection) -> DecompositionTerm:
@@ -161,7 +158,7 @@ def _build_term(w: Word, f: CanonicalSurjection, inner_words: dict[Seq, Word]) -
             sub = _trusted(Alphabet, names=tuple([names[x] for x in ids]))
             iw = inner_words[ids] = _trusted(Word, alphabet=sub, seq=seq)
         inner.append(iw)
-    outer_word = _trusted(Word, alphabet=_outer_alphabet(f.assignment), seq=outer)
+    outer_word = _trusted(Word, alphabet=_layout(f.assignment)[3], seq=outer)
     return DecompositionTerm(f, outer_word, tuple(inner))
 
 
@@ -212,49 +209,46 @@ def format_term(term: DecompositionTerm, prefer_chars: bool = True) -> str:
 
 
 @lru_cache(maxsize=None)
-def _block_sets(m: int) -> tuple[tuple[Seq, Seq], ...]:
-    """For each canonical surjection ``g`` of ``[m]``, in
-    :func:`enumerate_canonical_surjections` order: its assignment and
-    the bit set of each of its blocks, bit ``t`` for element ``t + 1``."""
-    return tuple(
-        (g.assignment, tuple([sum(1 << t for t in ids) for ids in _block_ids(g.assignment)]))
-        for g in enumerate_canonical_surjections(m)
-    )
-
-
-@lru_cache(maxsize=None)
-def _chains(k: int) -> tuple[tuple[Seq, Seq, tuple[tuple[Seq, Seq], ...]], ...]:
+def _chains(k: int) -> tuple[tuple[Seq, Seq, Pairs, Pairs], ...]:
     """For each canonical surjection ``f`` of ``[k]``, in
     :func:`enumerate_canonical_surjections` order: its assignment; the
-    index of ``g . f`` for each ``g`` of :func:`_block_sets` on the
-    blocks of ``f``; and, indexed by the bit set ``S`` of a nonempty set
-    of ``f``'s blocks, ``f`` on the letters of those blocks relabelled
-    1, 2, ..., with the 0-based labels of ``S`` in order.  Equal tuples
-    are shared, so the k=8 table holds about 4 MB."""
+    index of ``g . f`` for each canonical ``g`` on the blocks of ``f``;
+    indexed by the bit set ``S`` of a nonempty set of ``f``'s blocks,
+    ``f`` on the letters of those blocks relabelled 1, 2, ..., with the
+    0-based labels of ``S`` in order; and, in the order of the indices,
+    each ``g``'s assignment and the bit set of each of its blocks, bit
+    ``t`` for block ``t + 1`` of ``f``.  The last is one tuple per
+    number of blocks, and other equal tuples are shared too, so the k=8
+    table holds about 4 MB."""
     fs = [f.assignment for f in enumerate_canonical_surjections(k)]
     index = {fa: i for i, fa in enumerate(fs)}
     shared: dict = {}
-    # Per number of blocks m, per bit set S: the labels of S and, for
-    # each 1-based block, its 1-based rank in S, or 0 if not in S.
-    subsets: dict[int, list[tuple[Seq, list[int]]]] = {}
+    # Per number of blocks m: the g table of the rows and, per bit set S,
+    # the labels of S and, for each 1-based block, its 1-based rank in S,
+    # or 0 if not in S.
+    per_m: dict = {}
     rows = []
     for fa in fs:
         m = max(fa)
-        if m not in subsets:
-            subsets[m] = []
+        if m not in per_m:
+            gas = [g.assignment for g in enumerate_canonical_surjections(m)]
+            sets = [tuple([sum([1 << t for t in ids]) for ids in _block_ids(ga)]) for ga in gas]
+            subsets = []
             for S in range(1 << m):
                 labels = tuple([t for t in range(m) if S >> t & 1])
                 rank = [0] * (m + 1)
                 for r, t in enumerate(labels, start=1):
                     rank[t + 1] = r
-                subsets[m].append((labels, rank))
-        composites = tuple([index[tuple([ga[t - 1] for t in fa])] for ga, _ in _block_sets(m)])
+                subsets.append((labels, rank))
+            per_m[m] = tuple(zip(gas, sets)), subsets
+        gs, subsets = per_m[m]
+        composites = tuple([index[tuple([ga[t - 1] for t in fa])] for ga, _ in gs])
         parts: list[tuple[Seq, Seq]] = [((), ())]
-        for labels, rank in subsets[m][1:]:
+        for labels, rank in subsets[1:]:
             fu = tuple([r for r in map(rank.__getitem__, fa) if r])
             part = (shared.setdefault(fu, fu), labels)
             parts.append(shared.setdefault(part, part))
-        rows.append((fa, composites, tuple(parts)))
+        rows.append((fa, composites, tuple(parts), gs))
     return tuple(rows)
 
 
@@ -274,12 +268,12 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
     chain by chain; the input word must then be non-crossing.  A chain
     that both filters drop is not decomposed further.
 
-    Most of a chain does not depend on the word: ``_chains(k)`` gives,
-    per ``f``, the index of each ``g . f`` among the Bell(k) surjections
-    and, per set ``S`` of ``f``'s blocks, ``f`` on the letters of ``S``
-    relabelled 1, 2, ... with the labels of ``S``; ``_block_sets(m)``
-    gives each block of ``g`` as such a set.  As these tables, not the
-    kernel's block ids, fix each block's letters, the check first tests,
+    Most of a chain does not depend on the word: a row of ``_chains(k)``
+    gives, per ``f``, the index of each ``g . f`` among the Bell(k)
+    surjections; per set ``S`` of ``f``'s blocks, ``f`` on the letters of
+    ``S`` relabelled 1, 2, ... with the labels of ``S``; and each block
+    of each ``g`` as such a set.  As the rows, not the kernel's block
+    ids, fix each block's letters, the check first tests,
     once per call, that the kernel gives every term along ``f`` the
     block ids of ``_layout(f)``, and returns ``False`` if not.
 
@@ -288,8 +282,8 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
     ``g . f``, which many chains share, and the latter's filters sit in
     memos of at most ``_MEMO_SIZE`` entries, least recently used first
     out.  All of it is dropped on return, so nothing of the word
-    outlives the call.  The tables hold one entry per ``f`` and set of
-    its blocks (85778 for k=8), not one per chain (167894).
+    outlives the call.  The rows hold one entry per ``f`` and set of its
+    blocks (85778 for k=8), not one per chain (167894).
     """
     _check_basis_word(w, noncrossing)
     s = w.seq
@@ -300,14 +294,14 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
         return is_noncrossing_seq([fu[x] for x in wa])
 
     rows = _chains(w.alphabet.size)
-    terms = [term(s, fa) for fa, _, _ in rows]
-    for (fa, _, _), (_, blocks) in zip(rows, terms):
+    terms = [term(s, fa) for fa, _, _, _ in rows]
+    for (fa, _, _, _), (_, blocks) in zip(rows, terms):
         if tuple([ids for ids, _ in blocks]) != _layout(fa)[0]:
             return False
-    nc = [not noncrossing or is_noncrossing_seq([fa[x] for x in s]) for fa, _, _ in rows]
-    for (_, composites, parts), (outer_f, blocks_f), f_alive in zip(rows, terms, nc):
+    nc = [not noncrossing or is_noncrossing_seq([fa[x] for x in s]) for fa, _, _, _ in rows]
+    for (_, composites, parts, gs), (outer_f, blocks_f), f_alive in zip(rows, terms, nc):
         inners_f = [inner for _, inner in blocks_f]
-        for (ga, sets), hi in zip(_block_sets(len(blocks_f)), composites):
+        for (ga, sets), hi in zip(gs, composites):
             # Inner-first: along g . f, then each block's word along f on it.
             rhs_outer, rhs_blocks = terms[hi]
             if noncrossing:

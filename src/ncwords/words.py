@@ -109,6 +109,8 @@ class Word:
             raise ValueError("a word must be a nonempty sequence of letters")
         if not {int}.issuperset(map(type, seq)):
             raise TypeError(f"letter ids must be ints, got {seq}")
+        if not isinstance(self.alphabet, Alphabet):
+            raise TypeError(f"alphabet must be an Alphabet, got {self.alphabet!r}")
         k = self.alphabet.size
         if not _letter_ids(k).issuperset(seq):
             raise ValueError(f"letter ids {seq} out of range for alphabet of size {k}")

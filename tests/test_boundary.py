@@ -64,12 +64,13 @@ class TestBoundary:
             assert type(k) is int and result.size == k
 
     @FUZZ
-    @given(st.integers(1, 4), values)
-    def test_word(self, k, seq):
-        result = outcome(Word, Alphabet.numeric(k), seq)
+    @given(st.one_of(st.integers(1, 4).map(Alphabet.numeric), values), values)
+    def test_word(self, alphabet, seq):
+        result = outcome(Word, alphabet, seq)
         if isinstance(result, Word):
+            assert isinstance(alphabet, Alphabet)
             assert result.seq and set(map(type, result.seq)) == {int}
-            assert all(0 <= x < k for x in result.seq)
+            assert all(0 <= x < alphabet.size for x in result.seq)
 
     @FUZZ
     @given(values, values, values)

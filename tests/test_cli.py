@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ncwords import cooperad
 from ncwords.cli import main
 
 FIVE_TERM_LINES = [
@@ -152,6 +153,28 @@ class TestCoassoc:
         code, _, err = run(capsys, "coassoc", "--alphabet-size", "0", "--max-len", "4")
         assert code == 1 and "alphabet-size" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (("--max-len", "0"), "--max-len must be >= 1"),
+        (("--max-len", "4", "--samples", "0"), "--samples must be >= 1"),
+    ])
+    def test_sizes_below_one(self, capsys, extra, message):
+        assert run(capsys, "coassoc", "--alphabet-size", "2", *extra) == (
+            1, "", f"error: {message}\n",
+        )
+
+    @pytest.mark.parametrize("nc, label", [((), "word cooperad"), (("--nc",), "nc cooperad")])
+    def test_faulty_kernel_fails_with_the_word(self, capsys, monkeypatch, nc, label):
+        real = cooperad._term
+
+        def reversed_outer(seq, f):
+            outer, blocks = real(seq, f)
+            return outer[::-1], blocks
+
+        monkeypatch.setattr(cooperad, "_term", reversed_outer)
+        assert run(capsys, "coassoc", "--alphabet-size", "2", "--max-len", "2", *nc) == (
+            1, f"FAIL coassociativity ({label}): word 12\n", "",
+        )
+
     def test_sampler_give_up_is_one_error_line(self, capsys):
         code, out, err = run(
             capsys,
@@ -291,6 +314,20 @@ class TestCumulantsCommand:
         assert run(capsys, *base, "--kind", "free", "--args", "v", "--up-to", "0")[0] == 1
         assert run(capsys, *base, "--kind", "free", "--args", "v,w", "--up-to", "2")[0] == 1
 
+    def test_batch_mode_takes_one_variable(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"vars": ["v", "w"], "moments": []}))
+        assert run(
+            capsys, "cumulants", "--moments", str(path), "--kind", "free",
+            "--args", "v,w", "--up-to", "2",
+        ) == (1, "", "error: batch mode takes exactly one variable in --args\n")
+
+    def test_word_kind_needs_one_variable_per_letter(self, capsys, moments_file):
+        assert run(
+            capsys, "cumulants", "--moments", moments_file, "--kind", "word",
+            "--word", "ab", "--args", "v",
+        ) == (1, "", "error: --args names 1 variables but 'ab' has 2 letters\n")
+
     def test_missing_moment_exit_code(self, capsys, moments_file):
         code, _, err = run(
             capsys, "cumulants", "--moments", moments_file, "--kind", "free",
@@ -362,6 +399,12 @@ class TestMomentsCommand:
         path = self.write(tmp_path, {"cumulants": []})
         assert run(capsys, "moments", "--cumulants", path, "--up-to", "0") == (
             0, "0 1/1\n", "",
+        )
+
+    def test_negative_up_to(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"cumulants": []})
+        assert run(capsys, "moments", "--cumulants", path, "--up-to", "-1") == (
+            1, "", "error: --up-to must be >= 0\n",
         )
 
     def test_missing_order(self, capsys, tmp_path):

@@ -12,7 +12,8 @@ by the reduced image.  The check's verdict equals that of a
 chain-by-chain oracle under the real kernel and two faulty ones.  The
 memo tests corrupt or count the term kernel to show that the
 coassociativity check's per-call sharing neither hides a fault nor
-outlives the call.
+outlives the call, and give each comparison of the check a fault that
+no other comparison sees.
 """
 
 import itertools
@@ -76,6 +77,11 @@ class TestDecomposeAlong:
         assert decompose_along(w, CanonicalSurjection(2, 1, (1, 1))).inner == (w,)
         with pytest.raises(EmptyRestrictionError, match=r"letter ids \[1\]"):
             decompose_along(w, CanonicalSurjection(2, 2, (1, 2)))
+
+    def test_domain_must_match_the_alphabet(self):
+        with pytest.raises(ValueError) as info:
+            decompose_along(parse_word("ab"), CanonicalSurjection(3, 1, (1, 1, 1)))
+        assert str(info.value) == "surjection domain [3] does not match alphabet size 2"
 
     def test_block_names_stay_distinct_from_ten_letters_on(self):
         # {1,2} and {12} both read "b12" without a separator
@@ -197,7 +203,7 @@ class TestKernel:
     def test_composites_index_g_after_f(self, k, chains):
         # the row lengths sum to the chain count, OEIS A000258
         fs = enumerate_canonical_surjections(k)
-        rows = [composites for _, composites, _ in cooperad._chains(k)]
+        rows = [composites for _, composites, _, _ in cooperad._chains(k)]
         assert len(rows) == len(fs)
         for f, row in zip(fs, rows):
             gs = enumerate_canonical_surjections(f.m)
@@ -211,22 +217,25 @@ class TestKernel:
     def test_chain_tables_match_naive_construction(self, k):
         # per f, each nonempty set S of its blocks: f on the letters of
         # those blocks relabelled 1, 2, ... and the 0-based labels of S;
-        # per g on [m], the bit set of each block
+        # per g on [m], in one table for every f onto [m], its
+        # assignment and the bit set of each block
         fs = enumerate_canonical_surjections(k)
         rows = cooperad._chains(k)
-        assert [fa for fa, _, _ in rows] == [f.assignment for f in fs]
-        for f, (_, _, parts) in zip(fs, rows):
+        assert [fa for fa, _, _, _ in rows] == [f.assignment for f in fs]
+        for f, (_, _, parts, _) in zip(fs, rows):
             assert len(parts) == 2**f.m
             for S in range(1, 2**f.m):
                 labels = tuple(t for t in range(f.m) if S & 2**t)
                 letters = [x for x in range(k) if f.assignment[x] - 1 in labels]
                 fu = tuple(labels.index(f.assignment[x] - 1) + 1 for x in letters)
                 assert parts[S] == (fu, labels), (f, S)
-        gs = cooperad._block_sets(k)
-        assert len(gs) == len(fs)
-        for g, (ga, sets) in zip(fs, gs):
-            assert ga == g.assignment
-            assert sets == tuple(sum(2 ** (e - 1) for e in block) for block in g.blocks())
+        for m in range(1, k + 1):
+            tables = [row[3] for f, row in zip(fs, rows) if f.m == m]
+            assert all(table is tables[0] for table in tables)
+            assert tables[0] == tuple(
+                (g.assignment, tuple(sum(2 ** (e - 1) for e in block) for block in g.blocks()))
+                for g in enumerate_canonical_surjections(m)
+            )
 
     def test_terms_rebuild_through_public_constructors(self):
         # Terms are built without re-validation; every distinct surjection,
@@ -419,6 +428,19 @@ def reversed_outer(real):
     return term
 
 
+def acb_inner(real):
+    # the term of abc along the constant surjection has the inner word
+    # acb; its block ids and every other term stay right
+    def term(seq, f):
+        outer, blocks = real(seq, f)
+        if (seq, f) == ((0, 1, 2), (1, 1, 1)):
+            ((ids, _),) = blocks
+            return outer, ((ids, (0, 2, 1)),)
+        return outer, blocks
+
+    return term
+
+
 class TestCoassociativityOracle:
     def test_verdict_matches_chain_by_chain_oracle(self, monkeypatch):
         # every basis word with k<=4 and length<=6, which takes in every
@@ -460,13 +482,27 @@ class TestCoassociativityMemo:
         assert not check_coassociativity(w, noncrossing)
 
     @pytest.mark.parametrize("noncrossing", [False, True])
-    @pytest.mark.parametrize("text, corrupt", [("ab", reordered_blocks), ("abc", reversed_outer)])
+    @pytest.mark.parametrize(
+        "text, corrupt", [("ab", reordered_blocks), ("abc", reversed_outer), ("abc", acb_inner)]
+    )
     def test_fault_seen_by_one_comparison_alone(self, monkeypatch, text, corrupt, noncrossing):
-        # on these words every chain's middle and inner factors agree
-        # under the faulty kernel: only the block-id check sees blocks
-        # listed last first, and only the outer words show reversal
+        # on these words only one comparison sees the faulty kernel: the
+        # block-id check sees blocks listed last first, the outer words
+        # show reversal, and the inner factors show acb
         monkeypatch.setattr(cooperad, "_term", corrupt(cooperad._term))
         assert not check_coassociativity(parse_word(text), noncrossing)
+
+    def test_filter_disagreement_fails_the_check(self, monkeypatch):
+        # only the filter-agreement comparison sees a non-crossing test
+        # that calls the one-letter image [1] crossing: it drops chains
+        # on one route and keeps them on the other
+        real = cooperad.is_noncrossing_seq
+
+        def flipped(seq):
+            return real(seq) != (list(seq) == [1])
+
+        monkeypatch.setattr(cooperad, "is_noncrossing_seq", flipped)
+        assert not check_coassociativity(parse_word("ab"), noncrossing=True)
 
     @pytest.mark.parametrize("noncrossing", [False, True])
     def test_no_term_outlives_a_call(self, monkeypatch, noncrossing):
@@ -486,3 +522,4 @@ class TestCoassociativityMemo:
             counts.append(len(calls))
         assert 0 < counts[0] == counts[1] < self.UNSHARED_CALLS_K5
         assert len(set(calls)) == len(calls)
+

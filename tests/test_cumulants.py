@@ -290,6 +290,12 @@ class TestClassicalCumulants:
         with pytest.raises(ValueError):
             classical_cumulant(E, ("a", "b"))
 
+    @pytest.mark.parametrize("cumulant", [classical_cumulant, free_cumulant_direct])
+    def test_empty_args_rejected(self, cumulant):
+        with pytest.raises(ValueError) as info:
+            cumulant(single_table(1), ())
+        assert str(info.value) == "at least one variable is required"
+
     def test_round_trips_through_set_partition_sum(self):
         # forward check via an independent partition enumeration: group
         # the canonical surjections by their block sizes

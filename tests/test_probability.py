@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,16 @@ class TestRationalSyntax:
     def test_parse_rejects(self, bad):
         with pytest.raises(MomentTableError):
             parse_rational(bad)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() has no digit limit on this interpreter",
+    )
+    def test_parse_rejects_more_digits_than_int_converts(self):
+        text = "1" * (sys.get_int_max_str_digits() + 1) + "/3"
+        with pytest.raises(MomentTableError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"rational value must be a 'p/q' string, got {text!r}"
 
     def test_format_always_has_denominator(self):
         assert format_rational(Fraction(2)) == "2/1"

@@ -84,6 +84,12 @@ class TestWord:
             Word(Alphabet.numeric(2), seq)
         assert str(info.value) == f"letter ids must be ints, got {seq}"
 
+    @pytest.mark.parametrize("alphabet", [None, 3, "ab", ("a", "b")])
+    def test_alphabet_must_be_an_alphabet(self, alphabet):
+        with pytest.raises(TypeError) as info:
+            Word(alphabet, (0,))
+        assert str(info.value) == f"alphabet must be an Alphabet, got {alphabet!r}"
+
     def test_equality_by_size_and_seq(self):
         w1 = Word(Alphabet(("a", "b")), (0, 1))
         w2 = Word(Alphabet(("x", "y")), (0, 1))
@@ -366,3 +372,9 @@ class TestRandomBasisWord:
     def test_too_short_error(self):
         with pytest.raises(ValueError):
             random_basis_word(random.Random(0), 4, 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_alphabet_size_below_one(self, k):
+        with pytest.raises(ValueError) as info:
+            random_basis_word(random.Random(0), k, 3)
+        assert str(info.value) == "alphabet size must be >= 1"
