@@ -35,15 +35,6 @@ from .surjections import (
     enumerate_canonical_surjections,
     enumerate_nc_partitions,
 )
-from .cooperad import (
-    DecompositionTerm,
-    check_coassociativity,
-    crossing_ideal_witness,
-    decompose,
-    decompose_along,
-    decompose_noncrossing,
-    format_term,
-)
 from .probability import (
     MissingMomentError,
     MomentFunctional,
@@ -64,6 +55,36 @@ from .cumulants import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: the cooperad, and its names here, load on first use, since
+    # no cumulant or word command runs it.  Every public name that is not
+    # bound yet is one of the cooperad's.
+    if name != "cooperad" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .cooperad import (
+        DecompositionTerm,
+        check_coassociativity,
+        crossing_ideal_witness,
+        decompose,
+        decompose_along,
+        decompose_noncrossing,
+        format_term,
+    )
+
+    lazy = (
+        DecompositionTerm,
+        check_coassociativity,
+        crossing_ideal_witness,
+        decompose,
+        decompose_along,
+        decompose_noncrossing,
+        format_term,
+    )
+    globals().update({obj.__name__: obj for obj in lazy})
+    return globals()[name]
+
 
 __all__ = [
     "Alphabet",

@@ -12,7 +12,6 @@ import json
 import random
 import sys
 
-from .cooperad import _iter_terms, check_coassociativity, format_term
 from .cumulants import (
     CumulantTable,
     boolean_cumulant,
@@ -203,6 +202,8 @@ def _random_words(ns: argparse.Namespace, rng: random.Random):
 
 
 def _run_coassoc(ns: argparse.Namespace) -> int:
+    from .cooperad import check_coassociativity
+
     if ns.alphabet_size < 1:
         raise ValueError("--alphabet-size must be >= 1")
     if ns.max_len < 1:
@@ -250,6 +251,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
             print(f"{name}={'true' if value else 'false'}")
         return 0
     if ns.command == "decompose":
+        from .cooperad import _iter_terms, format_term
+
         w = parse_word(ns.word)
         prefer_chars = "," not in ns.word
         # Each term is printed as soon as it is built; none is kept.

@@ -32,11 +32,14 @@ has a crossing outer or a crossing inner word, which is what
 ``crossing_ideal_witness`` tests and what makes the non-crossing variant
 well defined.  The basis-word check and its ``CrossingWordError`` live
 in :mod:`ncwords.words`, since the word cumulants use them too.
+
+No cumulant or word command needs this module, so it is loaded on first
+use: by the ``decompose`` and ``coassoc`` commands, and by the first
+access to one of its names on the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -50,6 +53,7 @@ from .surjections import (
 from .words import (
     Alphabet,
     Word,
+    _Frozen,
     _check_basis_word,
     _trusted,
     is_noncrossing,
@@ -70,14 +74,38 @@ _MEMO_SIZE = 4096
 _LAYOUT_SIZE = 6144
 
 
-@dataclass(frozen=True, eq=True)
-class DecompositionTerm:
+class DecompositionTerm(_Frozen):
     """One term of a decomposition: the surjection, the reduced image,
     and the reduced restriction to each block."""
 
     surjection: CanonicalSurjection
     outer: Word
     inner: tuple[Word, ...]
+
+    def __init__(
+        self, surjection: CanonicalSurjection, outer: Word, inner: tuple[Word, ...]
+    ) -> None:
+        object.__setattr__(self, "surjection", surjection)
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.surjection, self.outer, self.inner) == (
+            other.surjection,
+            other.outer,
+            other.inner,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.surjection, self.outer, self.inner))
+
+    def __repr__(self) -> str:
+        return (
+            f"DecompositionTerm(surjection={self.surjection!r},"
+            f" outer={self.outer!r}, inner={self.inner!r})"
+        )
 
 
 @lru_cache(maxsize=_LAYOUT_SIZE)

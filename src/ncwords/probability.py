@@ -39,24 +39,43 @@ class MomentTableError(ValueError):
 
 
 _RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+# The most characters of a value that an error message echoes, so that
+# a value of thousands of characters still gives a short line.
+_ECHO = 64
+
+
+def _echo(value: object) -> str:
+    """``repr(value)`` for an error message.  A string longer than
+    ``_ECHO`` characters shows as its first ``_ECHO`` and its length,
+    ``'1111…' (4303 characters)``; another value whose repr is longer
+    shows as that much of the repr and the repr's length."""
+    if not isinstance(value, str):
+        text = repr(value)
+        return text if len(text) <= _ECHO else f"{text[:_ECHO]}… ({len(text)} characters)"
+    if len(value) <= _ECHO:
+        return repr(value)
+    return f"{value[:_ECHO] + '…'!r} ({len(value)} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a ``p/q`` string into an exact rational.
 
     Exactly an optional ``-``, ASCII digits, ``/`` and ASCII digits: no
-    whitespace, ``+``, underscores or signed denominator.
+    whitespace, ``+``, underscores or signed denominator.  An error
+    message echoes at most ``_ECHO`` characters of the value.
     """
     if not isinstance(text, str) or _RATIONAL.fullmatch(text) is None:
-        raise MomentTableError(f"rational value must be a 'p/q' string, got {text!r}")
+        raise MomentTableError(f"rational value must be a 'p/q' string, got {_echo(text)}")
     num, den = text.split("/")
     try:
         # int() refuses digit strings longer than its conversion limit.
         p, q = int(num), int(den)
     except ValueError:
-        raise MomentTableError(f"rational value must be a 'p/q' string, got {text!r}") from None
+        raise MomentTableError(
+            f"rational value must be a 'p/q' string, got {_echo(text)}"
+        ) from None
     if q == 0:
-        raise MomentTableError(f"zero denominator in rational value {text!r}")
+        raise MomentTableError(f"zero denominator in rational value {_echo(text)}")
     return Fraction(p, q)
 
 

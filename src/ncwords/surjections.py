@@ -17,36 +17,48 @@ non-crossing scan that the position search runs is defined once, as
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
-from .words import _trusted
+from .words import _Frozen, _trusted
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, eq=True)
-class CanonicalSurjection:
+class CanonicalSurjection(_Frozen):
     """A surjection ``[n] -> [m]`` in min-preimage canonical form; values are ints, not bools."""
 
     n: int
     m: int
     assignment: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        if type(self.n) is not int or type(self.m) is not int:
-            raise TypeError(f"n and m must be ints, got n={self.n!r}, m={self.m!r}")
-        if self.n < 1 or len(self.assignment) != self.n:
-            raise ValueError(f"assignment length {len(self.assignment)} does not match n={self.n}")
-        if not {int}.issuperset(map(type, self.assignment)):
-            raise TypeError(f"assignment values must be ints, got {self.assignment}")
+    def __init__(self, n: int, m: int, assignment: Iterable[int]) -> None:
+        assignment = tuple(assignment)
+        if type(n) is not int or type(m) is not int:
+            raise TypeError(f"n and m must be ints, got n={n!r}, m={m!r}")
+        if n < 1 or len(assignment) != n:
+            raise ValueError(f"assignment length {len(assignment)} does not match n={n}")
+        if not {int}.issuperset(map(type, assignment)):
+            raise TypeError(f"assignment values must be ints, got {assignment}")
         # Canonical iff the values first occur in the order 1, 2, 3, ...
-        firsts = list(dict.fromkeys(self.assignment))
+        firsts = list(dict.fromkeys(assignment))
         if firsts != list(range(1, len(firsts) + 1)):
-            raise ValueError(f"assignment {self.assignment} is not in canonical min-preimage form")
-        if len(firsts) != self.m:
-            raise ValueError(f"assignment {self.assignment} is not onto [{self.m}]")
+            raise ValueError(f"assignment {assignment} is not in canonical min-preimage form")
+        if len(firsts) != m:
+            raise ValueError(f"assignment {assignment} is not onto [{m}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "assignment", assignment)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m, self.assignment) == (other.n, other.m, other.assignment)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.assignment))
+
+    def __repr__(self) -> str:
+        return f"CanonicalSurjection(n={self.n!r}, m={self.m!r}, assignment={self.assignment!r})"
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Preimages ``f^{-1}(1), ..., f^{-1}(m)`` as sorted tuples."""

@@ -25,6 +25,7 @@ from ncwords import (
     Alphabet,
     CanonicalSurjection,
     CrossingWordError,
+    DecompositionTerm,
     EmptyRestrictionError,
     Word,
     apply_map,
@@ -70,6 +71,15 @@ class TestDecomposeAlong:
         assert term.outer.seq == (0, 1)
         assert term.outer.alphabet.names == ("b1", "b2")
         assert [str(iw) for iw in term.inner] == ["a", "b"]
+        # equal and hashed by the field tuple; no other class compares equal
+        fields = (term.surjection, term.outer, term.inner)
+        assert term == DecompositionTerm(*fields) and hash(term) == hash(fields)
+        assert term != DecompositionTerm(term.surjection, term.outer, term.inner[:1])
+        assert term.__eq__(fields) is NotImplemented
+        assert repr(term) == (
+            "DecompositionTerm(surjection=CanonicalSurjection(n=2, m=2, assignment=(1, 2)),"
+            " outer=Word('b1,b2', k=2), inner=(Word('a', k=1), Word('b', k=1)))"
+        )
 
     def test_block_missed_by_the_word(self):
         # only a block with no letter of the word is an error

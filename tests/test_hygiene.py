@@ -1,7 +1,11 @@
 """Source hygiene: no unused imports in the package, a pinned import
-graph between its modules, and a clean ``__all__``."""
+graph between its modules, a clean ``__all__``, and a cold import of the
+CLI that loads only what the cumulant and word commands run."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +78,35 @@ def test_all_names_resolve_once():
     names = ncwords.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(ncwords, n)] == []
+
+
+COLD_IMPORT = """
+import sys
+
+import ncwords.cli
+
+loaded = {"dataclasses", "inspect", "ncwords.cooperad"} & set(sys.modules)
+assert not loaded, sorted(loaded)
+
+import ncwords
+
+assert ncwords.cooperad.decompose is ncwords.decompose
+from ncwords import cooperad, decompose
+
+assert decompose is cooperad.decompose
+names = {}
+exec("from ncwords import *", names)
+assert sorted(set(names) - {"__builtins__"}) == sorted(ncwords.__all__)
+assert not hasattr(ncwords, "nope")
+"""
+
+
+def test_cli_import_loads_only_what_it_runs():
+    # A fresh interpreter, as a user's command has: the cooperad, which no
+    # cumulant or word command needs, loads on first use of its names.
+    src = Path(ncwords.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr

@@ -23,6 +23,11 @@ from ncwords import (
 
 from oracles import CATALAN
 
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() has no digit limit on this interpreter",
+)
+
 
 class TestMonomial:
     def test_str(self):
@@ -45,15 +50,54 @@ class TestRationalSyntax:
         with pytest.raises(MomentTableError):
             parse_rational(bad)
 
-    @pytest.mark.skipif(
-        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-        reason="int() has no digit limit on this interpreter",
-    )
+    @NEEDS_DIGIT_LIMIT
     def test_parse_rejects_more_digits_than_int_converts(self):
         text = "1" * (sys.get_int_max_str_digits() + 1) + "/3"
         with pytest.raises(MomentTableError) as info:
             parse_rational(text)
-        assert str(info.value) == f"rational value must be a 'p/q' string, got {text!r}"
+        assert str(info.value) == (
+            f"rational value must be a 'p/q' string, got '{'1' * 64}…' ({len(text)} characters)"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1" * 4301 + "/3", marks=NEEDS_DIGIT_LIMIT, id="past-the-int-limit"),
+            pytest.param("x" * 10000, id="not-a-rational"),
+        ],
+    )
+    def test_long_values_are_cut_in_messages(self, tmp_path, text):
+        # one short line: the first 64 characters and the length, also
+        # behind the prefix that load_moments adds
+        shown = f"{text[:64] + '…'!r} ({len(text)} characters)"
+        with pytest.raises(MomentTableError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"rational value must be a 'p/q' string, got {shown}"
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps({"vars": ["a"], "moments": [{"word": ["a"], "value": text}]}))
+        with pytest.raises(MomentTableError) as info:
+            load_moments(str(path))
+        assert str(info.value) == (
+            f"moment table {path}: entry ['a']: rational value must be a 'p/q' string, got {shown}"
+        )
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1" * 63 + "/", "rational value must be a 'p/q' string, got '" + "1" * 63 + "/'"),
+            ("1" * 4000 + "/0", f"zero denominator in rational value '{'1' * 64}…' (4002 characters)"),
+            (
+                [1] * 5000,
+                "rational value must be a 'p/q' string, got "
+                f"{repr([1] * 5000)[:64]}… (15000 characters)",
+            ),
+        ],
+        ids=["64-characters-whole", "zero-denominator", "not-a-string"],
+    )
+    def test_echo_keeps_64_characters(self, value, message):
+        with pytest.raises(MomentTableError) as info:
+            parse_rational(value)
+        assert str(info.value) == message
 
     def test_format_always_has_denominator(self):
         assert format_rational(Fraction(2)) == "2/1"

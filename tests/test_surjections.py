@@ -22,6 +22,15 @@ class TestCanonicalSurjection:
     def test_valid_forms(self):
         f = CanonicalSurjection(3, 2, (1, 2, 2))
         assert f.blocks() == ((1,), (2, 3))
+        # equal and hashed by the field tuple; no other class compares equal
+        assert f == CanonicalSurjection(n=3, m=2, assignment=[1, 2, 2])
+        assert hash(f) == hash((3, 2, (1, 2, 2)))
+        assert f != CanonicalSurjection(3, 2, (1, 1, 2))
+        assert f.__eq__((3, 2, (1, 2, 2))) is NotImplemented
+        assert CanonicalSurjection(2, 2, (1, 2)) != (1, 2)
+        assert repr(CanonicalSurjection(2, 2, (1, 2))) == (
+            "CanonicalSurjection(n=2, m=2, assignment=(1, 2))"
+        )
 
     def test_rejects_non_canonical(self):
         with pytest.raises(ValueError, match="not in canonical min-preimage form"):

@@ -5,7 +5,9 @@ oracles in :mod:`oracles`; the rewrite-closure check establishes that the
 normal form is unique, rather than assuming it.
 """
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,8 @@ from hypothesis import given, strategies as st
 
 from ncwords import (
     Alphabet,
+    CanonicalSurjection,
+    DecompositionTerm,
     EmptyRestrictionError,
     Word,
     apply_map,
@@ -29,6 +33,7 @@ from ncwords import (
     render_word,
     restrict,
 )
+from ncwords.words import _trusted
 
 from oracles import (
     iter_all_seqs,
@@ -122,6 +127,49 @@ class TestWord:
         assert render_word(parse_word("ab"), prefer_chars=False) == "a,b"
         # multi-character names force commas regardless of preference
         assert str(parse_word("a1,a2")) == "a1,a2"
+
+
+class TestValueTypes:
+    # The four value types share the frozen base of ncwords.words; each is
+    # built through its constructor, by keyword, and through _trusted, as
+    # the searches and the decompositions build them.
+    @pytest.mark.parametrize(
+        "build", [lambda cls, **f: cls(**f), _trusted], ids=["public", "trusted"]
+    )
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [
+            pytest.param(Alphabet, {"names": ("a", "b")}, id="Alphabet"),
+            pytest.param(Word, {"alphabet": Alphabet(("a", "b")), "seq": (0, 1, 0)}, id="Word"),
+            pytest.param(
+                CanonicalSurjection, {"n": 3, "m": 2, "assignment": (1, 2, 2)}, id="Surjection"
+            ),
+            pytest.param(
+                DecompositionTerm,
+                {
+                    "surjection": CanonicalSurjection(2, 2, (1, 2)),
+                    "outer": Word(Alphabet(("b1", "b2")), (0, 1)),
+                    "inner": (parse_word("a"), parse_word("b")),
+                },
+                id="Term",
+            ),
+        ],
+    )
+    def test_frozen_copyable_picklable(self, build, cls, fields):
+        obj = build(cls, **fields)
+        assert vars(obj) == fields
+        for name in fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, fields[name])
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert vars(obj) == fields
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is cls
+            assert twin == obj and hash(twin) == hash(obj)
+            assert vars(twin) == fields and repr(twin) == repr(obj)
 
 
 class TestPredicates:
