@@ -63,27 +63,11 @@ def __getattr__(name: str) -> object:
     # bound yet is one of the cooperad's.
     if name != "cooperad" and name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .cooperad import (
-        DecompositionTerm,
-        check_coassociativity,
-        crossing_ideal_witness,
-        decompose,
-        decompose_along,
-        decompose_noncrossing,
-        format_term,
-    )
+    from .cooperad import __dict__ as namespace
 
-    lazy = (
-        DecompositionTerm,
-        check_coassociativity,
-        crossing_ideal_witness,
-        decompose,
-        decompose_along,
-        decompose_noncrossing,
-        format_term,
-    )
-    globals().update({obj.__name__: obj for obj in lazy})
-    return globals()[name]
+    bound = globals()
+    bound.update({n: namespace[n] for n in __all__ if n not in bound})
+    return bound[name]
 
 
 __all__ = [

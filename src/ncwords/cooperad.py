@@ -78,6 +78,7 @@ class DecompositionTerm(_Frozen):
     """One term of a decomposition: the surjection, the reduced image,
     and the reduced restriction to each block."""
 
+    __slots__ = ("surjection", "outer", "inner")
     surjection: CanonicalSurjection
     outer: Word
     inner: tuple[Word, ...]
@@ -85,27 +86,7 @@ class DecompositionTerm(_Frozen):
     def __init__(
         self, surjection: CanonicalSurjection, outer: Word, inner: tuple[Word, ...]
     ) -> None:
-        object.__setattr__(self, "surjection", surjection)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.surjection, self.outer, self.inner) == (
-            other.surjection,
-            other.outer,
-            other.inner,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.surjection, self.outer, self.inner))
-
-    def __repr__(self) -> str:
-        return (
-            f"DecompositionTerm(surjection={self.surjection!r},"
-            f" outer={self.outer!r}, inner={self.inner!r})"
-        )
+        self.__setstate__({"surjection": surjection, "outer": outer, "inner": inner})
 
 
 @lru_cache(maxsize=_LAYOUT_SIZE)

@@ -214,7 +214,7 @@ def load_moments(path: str) -> MomentFunctional:
     for entry in entries:
         if not isinstance(entry, dict) or "word" not in entry or "value" not in entry:
             raise MomentTableError(
-                f"moment table {path}: each entry needs 'word' and 'value', got {entry!r}"
+                f"moment table {path}: each entry needs 'word' and 'value', got {_echo(entry)}"
             )
         word = entry["word"]
         if not isinstance(word, list) or not all(isinstance(v, str) for v in word):

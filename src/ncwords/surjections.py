@@ -27,6 +27,7 @@ T = TypeVar("T")
 class CanonicalSurjection(_Frozen):
     """A surjection ``[n] -> [m]`` in min-preimage canonical form; values are ints, not bools."""
 
+    __slots__ = ("n", "m", "assignment")
     n: int
     m: int
     assignment: tuple[int, ...]
@@ -45,20 +46,7 @@ class CanonicalSurjection(_Frozen):
             raise ValueError(f"assignment {assignment} is not in canonical min-preimage form")
         if len(firsts) != m:
             raise ValueError(f"assignment {assignment} is not onto [{m}]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "assignment", assignment)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.m, self.assignment) == (other.n, other.m, other.assignment)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.assignment))
-
-    def __repr__(self) -> str:
-        return f"CanonicalSurjection(n={self.n!r}, m={self.m!r}, assignment={self.assignment!r})"
+        self.__setstate__({"n": n, "m": m, "assignment": assignment})
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Preimages ``f^{-1}(1), ..., f^{-1}(m)`` as sorted tuples."""

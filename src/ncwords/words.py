@@ -25,10 +25,12 @@ Conventions used throughout the package:
 All values are immutable and every operation returns a fresh word, so
 everything here is safe for unrestricted concurrent use.  The package's
 value types (:class:`Alphabet`, :class:`Word`, the canonical surjections
-and the decomposition terms) are plain classes on one frozen base,
-``_Frozen``: assigning or deleting a field raises ``AttributeError``.
-They are written out by hand so that importing the package loads no
-class generator, nor the ``inspect`` and ``ast`` modules one needs.
+and the decomposition terms) are slotted classes on one frozen base,
+``_Frozen``, which writes their fields and gives the rest of the field
+protocol: equality, hashing, repr and pickling.  Assigning or deleting a
+field raises ``AttributeError``.  They are written out by hand so that
+importing the package loads no class generator, nor the ``inspect`` and
+``ast`` modules one needs.
 
 Text syntax: a word is written either as single-character letters
 (``"abcb"``) or as comma-separated multi-character letters
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import random
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -53,19 +56,54 @@ class CrossingWordError(ValueError):
 
 
 class _Frozen:
-    """Base of the package's value types: their fields are set once, by
-    ``__init__`` or :func:`_trusted`, and then neither assigned nor
-    deleted.  Instances keep their ``__dict__``, which is what
-    :func:`_trusted`, copying and pickling write.  ``__init__`` sets each
-    field with ``object.__setattr__`` instead, which keeps the values
-    inline in the object: on 64-bit CPython 3.11 a public-built ``Word``
-    takes 97 bytes, and 248 with a written ``__dict__``."""
+    """Base of the package's value types.  A subclass lists its fields,
+    in order, as its ``__slots__``; :meth:`__setstate__` writes them
+    once, for ``__init__``, :func:`_trusted`, copying and pickling, and
+    then they are neither assigned nor deleted.  Instances have no
+    ``__dict__`` and take no weak references.  Equality, hashing and the
+    repr compare, hash and show the field values in order; ``Alphabet``
+    and ``Word`` override them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # Bound once per class: each field's slot descriptor, whose
+        # __set__ skips the frozen __setattr__ and the per-field lookup
+        # that object.__setattr__ makes; and a C-level getter of the
+        # field values (a tuple, or the value of a lone field), which is
+        # no method, so it is called as ``self._values(self)``.
+        cls._setters = {name: getattr(cls, name).__set__ for name in cls.__slots__}
+        cls._values = attrgetter(*cls.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict[str, object]:
+        # The fields by name.  A pickle written when the fields lived in
+        # each instance's __dict__ holds the same state, so pickles load
+        # in both layouts; and pickle protocols 0 and 1 take a slotted
+        # class only through its own __getstate__.
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, fields: Mapping[str, object]) -> None:
+        setters = self._setters
+        for name, value in fields.items():
+            setters[name](self, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = [f"{name}={getattr(self, name)!r}" for name in self.__slots__]
+        return f"{type(self).__name__}({', '.join(shown)})"
 
 
 def _trusted(cls: type[T], **fields: object) -> T:
@@ -74,7 +112,7 @@ def _trusted(cls: type[T], **fields: object) -> T:
     valid by construction, with every field a tuple where the class
     would convert it to one; public constructors keep every check."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    obj.__setstate__(fields)
     return obj
 
 
@@ -84,6 +122,7 @@ class Alphabet(_Frozen):
     Equality and hashing use only the size: names are presentation.
     """
 
+    __slots__ = ("names",)
     names: tuple[str, ...]
 
     def __init__(self, names: Iterable[str]) -> None:
@@ -94,7 +133,7 @@ class Alphabet(_Frozen):
             raise ValueError(f"duplicate letter names in alphabet: {names}")
         if any(not isinstance(n, str) or not n or "," in n for n in names):
             raise ValueError(f"letter names must be nonempty and comma-free: {names}")
-        object.__setattr__(self, "names", names)
+        self.__setstate__({"names": names})
 
     @classmethod
     def numeric(cls, k: int) -> "Alphabet":
@@ -126,6 +165,7 @@ class Word(_Frozen):
     names do not matter.
     """
 
+    __slots__ = ("alphabet", "seq")
     alphabet: Alphabet
     seq: tuple[int, ...]
 
@@ -141,8 +181,7 @@ class Word(_Frozen):
         k = alphabet.size
         if not _letter_ids(k).issuperset(seq):
             raise ValueError(f"letter ids {seq} out of range for alphabet of size {k}")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "seq", seq)
+        self.__setstate__({"alphabet": alphabet, "seq": seq})
 
     def __eq__(self, other: object) -> bool:
         return (

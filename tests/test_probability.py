@@ -319,6 +319,25 @@ class TestLoadMoments:
         with pytest.raises(MomentTableError):
             load_moments(self.write(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            ({"word": ["a"]}, "{'word': ['a']}"),
+            (
+                {"word": ["a"] * 5000},
+                f"{repr({'word': ['a'] * 5000})[:64]}… (25010 characters)",
+            ),
+        ],
+        ids=["short-whole", "long-cut"],
+    )
+    def test_malformed_entry_echo(self, tmp_path, entry, shown):
+        path = self.write(tmp_path, {"vars": ["a"], "moments": [entry]})
+        with pytest.raises(MomentTableError) as info:
+            load_moments(path)
+        assert str(info.value) == (
+            f"moment table {path}: each entry needs 'word' and 'value', got {shown}"
+        )
+
     def test_missing_file_is_an_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_moments(str(tmp_path / "absent.json"))

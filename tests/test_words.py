@@ -9,6 +9,7 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,8 +157,12 @@ class TestValueTypes:
         ],
     )
     def test_frozen_copyable_picklable(self, build, cls, fields):
+        def read(obj):
+            # the fields, through the slots that hold them
+            return {name: getattr(obj, name) for name in cls.__slots__}
+
         obj = build(cls, **fields)
-        assert vars(obj) == fields
+        assert read(obj) == fields
         for name in fields:
             with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(obj, name, fields[name])
@@ -165,11 +170,92 @@ class TestValueTypes:
                 delattr(obj, name)
         with pytest.raises(AttributeError):
             obj.extra = 1
-        assert vars(obj) == fields
+        assert read(obj) == fields
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is cls
             assert twin == obj and hash(twin) == hash(obj)
-            assert vars(twin) == fields and repr(twin) == repr(obj)
+            assert read(twin) == fields and repr(twin) == repr(obj)
+
+
+# One value of each type with its pickle (protocol 4) as the earlier
+# layout, which kept the fields in each instance's __dict__, wrote it.
+EARLIER_PICKLES = [
+    pytest.param(
+        Alphabet,
+        {"names": ("x", "y")},
+        (
+            b"\x80\x04\x957\x00\x00\x00\x00\x00\x00\x00\x8c\rncwords.words\x94\x8c\x08Alph"
+            b"abet\x94\x93\x94)\x81\x94}\x94\x8c\x05names\x94\x8c\x01x\x94\x8c\x01y\x94"
+            b"\x86\x94sb."
+        ),
+        id="Alphabet",
+    ),
+    pytest.param(
+        Word,
+        {"alphabet": Alphabet(("a", "b", "c")), "seq": (0, 1, 2, 1)},
+        (
+            b"\x80\x04\x95j\x00\x00\x00\x00\x00\x00\x00\x8c\rncwords.words\x94\x8c\x04Word"
+            b"\x94\x93\x94)\x81\x94}\x94(\x8c\x08alphabet\x94h\x00\x8c\x08Alphabet\x94\x93"
+            b"\x94)\x81\x94}\x94\x8c\x05names\x94\x8c\x01a\x94\x8c\x01b\x94\x8c\x01c\x94"
+            b"\x87\x94sb\x8c\x03seq\x94(K\x00K\x01K\x02K\x01t\x94ub."
+        ),
+        id="Word",
+    ),
+    pytest.param(
+        CanonicalSurjection,
+        {"n": 3, "m": 2, "assignment": (1, 2, 1)},
+        (
+            b"\x80\x04\x95X\x00\x00\x00\x00\x00\x00\x00\x8c\x13ncwords.surjections\x94\x8c"
+            b"\x13CanonicalSurjection\x94\x93\x94)\x81\x94}\x94(\x8c\x01n\x94K\x03\x8c\x01"
+            b"m\x94K\x02\x8c\nassignment\x94K\x01K\x02K\x01\x87\x94ub."
+        ),
+        id="Surjection",
+    ),
+    pytest.param(
+        DecompositionTerm,
+        {
+            "surjection": CanonicalSurjection(2, 1, (1, 1)),
+            "outer": Word(Alphabet(("b12",)), (0,)),
+            "inner": (Word(Alphabet(("a", "b")), (0, 1)),),
+        },
+        (
+            b"\x80\x04\x95+\x01\x00\x00\x00\x00\x00\x00\x8c\x10ncwords.cooperad\x94\x8c"
+            b"\x11DecompositionTerm\x94\x93\x94)\x81\x94}\x94(\x8c\nsurjection\x94\x8c\x13"
+            b"ncwords.surjections\x94\x8c\x13CanonicalSurjection\x94\x93\x94)\x81\x94}\x94"
+            b"(\x8c\x01n\x94K\x02\x8c\x01m\x94K\x01\x8c\nassignment\x94K\x01K\x01\x86\x94u"
+            b"b\x8c\x05outer\x94\x8c\rncwords.words\x94\x8c\x04Word\x94\x93\x94)\x81\x94}"
+            b"\x94(\x8c\x08alphabet\x94h\x10\x8c\x08Alphabet\x94\x93\x94)\x81\x94}\x94\x8c"
+            b"\x05names\x94\x8c\x03b12\x94\x85\x94sb\x8c\x03seq\x94K\x00\x85\x94ub\x8c\x05"
+            b"inner\x94h\x12)\x81\x94}\x94(h\x15h\x17)\x81\x94}\x94h\x1a\x8c\x01a\x94\x8c"
+            b"\x01b\x94\x86\x94sbh\x1dK\x00K\x01\x86\x94ub\x85\x94ub."
+        ),
+        id="Term",
+    ),
+]
+
+
+class TestSlots:
+    @pytest.mark.parametrize("cls, fields, pickled", EARLIER_PICKLES)
+    def test_no_dict_either_way(self, cls, fields, pickled):
+        public, trusted = cls(**fields), _trusted(cls, **fields)
+        assert not hasattr(public, "__dict__") and not hasattr(trusted, "__dict__")
+        assert sys.getsizeof(public) == sys.getsizeof(trusted)
+
+    @pytest.mark.parametrize("cls, fields, pickled", EARLIER_PICKLES)
+    def test_earlier_pickles_load(self, cls, fields, pickled):
+        fresh = cls(**fields)
+        loaded = pickle.loads(pickled)
+        assert type(loaded) is cls and loaded == fresh and repr(loaded) == repr(fresh)
+        assert not hasattr(loaded, "__dict__")
+        # the same bytes both ways: the earlier layout loads what this one writes
+        assert pickle.dumps(fresh, 4) == pickled
+
+    @pytest.mark.parametrize("cls, fields, pickled", EARLIER_PICKLES)
+    def test_every_pickle_protocol(self, cls, fields, pickled):
+        fresh = cls(**fields)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(fresh, protocol))
+            assert loaded == fresh and repr(loaded) == repr(fresh)
 
 
 class TestPredicates:
