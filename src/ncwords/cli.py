@@ -21,9 +21,10 @@ from .cumulants import (
 from .probability import (
     MissingMomentError,
     MomentTableError,
+    _echo,
+    _load_cumulants,
     format_rational,
     load_moments,
-    parse_rational,
 )
 from .words import (
     Alphabet,
@@ -89,26 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_args_list(text: str) -> list[str]:
-    names = text.split(",")
-    if any(not n for n in names):
-        raise ValueError(f"malformed --args {text!r}: empty variable name")
-    return names
-
-
-def _cumulant_record(kind: str, args: list[str], value, word: str | None = None) -> str:
-    record = {"kind": kind, "N": len(args), "args": args, "value": format_rational(value)}
-    if word is not None:
-        record["word"] = word
-    return json.dumps(record)
-
-
 def _run_cumulants(ns: argparse.Namespace) -> int:
     E = load_moments(ns.moments)
-    args = _parse_args_list(ns.args)
+    args = ns.args.split(",")
+    if not all(args):
+        raise ValueError(f"malformed --args {_echo(ns.args)}: empty variable name")
     for name in args:
         if name not in E.variables:
-            raise ValueError(f"--args names {name!r}, which is not a variable of {ns.moments}")
+            raise ValueError(
+                f"--args names {_echo(name)}, which is not a variable of {ns.moments}"
+            )
+    # One query per printed line: its text prefix and the variables it takes.
+    queries, w, extra = [("", args)], None, {}
     if ns.up_to is not None:
         if ns.kind == "word":
             raise ValueError("batch mode (--up-to) does not apply to --kind word")
@@ -116,72 +109,41 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
             raise ValueError("--up-to must be >= 1")
         if len(args) != 1:
             raise ValueError("batch mode takes exactly one variable in --args")
-        v = args[0]
-        table = CumulantTable(E)
-        for n in range(1, ns.up_to + 1):
-            tup = [v] * n
-            value = _evaluate(ns.kind, E, tup, table=table)
-            if ns.as_json:
-                print(_cumulant_record(ns.kind, tup, value))
-            else:
-                print(f"{n} {format_rational(value)}")
-        return 0
-    if ns.kind == "word":
+        queries = [(f"{n} ", args * n) for n in range(1, ns.up_to + 1)]
+    elif ns.kind == "word":
         if not ns.word:
             raise ValueError("--kind word requires --word")
         w = parse_word(ns.word)
         if len(args) != w.alphabet.size:
             raise ValueError(
-                f"--args names {len(args)} variables but {ns.word!r} has "
+                f"--args names {len(args)} variables but {_echo(ns.word)} has "
                 f"{w.alphabet.size} letters"
             )
-        value = CumulantTable(E).word_cumulant(w, args)
-        if ns.as_json:
-            print(_cumulant_record("word", args, value, word=ns.word))
-        else:
-            print(format_rational(value))
-        return 0
-    if ns.word:
+        extra = {"word": ns.word}
+    elif ns.word:
         raise ValueError(f"--word does not apply to --kind {ns.kind}")
-    value = _evaluate(ns.kind, E, args)
-    if ns.as_json:
-        print(_cumulant_record(ns.kind, args, value))
-    else:
-        print(format_rational(value))
+    table = CumulantTable(E)
+    # A line is printed before the next query runs, so a batch that stops
+    # at a missing moment still shows the orders before it.
+    for prefix, tup in queries:
+        if ns.kind == "free":
+            value = table.free_cumulant(tup)
+        elif ns.kind == "word":
+            value = table.word_cumulant(w, tup)
+        elif ns.kind == "boolean":
+            value = boolean_cumulant(E, tup)
+        else:
+            value = classical_cumulant(E, tup)
+        text = format_rational(value)
+        if ns.as_json:
+            print(json.dumps({"kind": ns.kind, "N": len(tup), "args": tup, "value": text, **extra}))
+        else:
+            print(prefix + text)
     return 0
 
 
-def _evaluate(kind: str, E, args: list[str], table: CumulantTable | None = None):
-    if kind == "free":
-        return (table or CumulantTable(E)).free_cumulant(args)
-    if kind == "boolean":
-        return boolean_cumulant(E, args)
-    return classical_cumulant(E, args)
-
-
 def _run_moments(ns: argparse.Namespace) -> int:
-    try:
-        with open(ns.cumulants, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MomentTableError(f"cumulant table {ns.cumulants}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict) or not isinstance(data.get("cumulants"), list):
-        raise MomentTableError(
-            f"cumulant table {ns.cumulants}: expected an object with a 'cumulants' list"
-        )
-    by_order = {}
-    for entry in data["cumulants"]:
-        if not isinstance(entry, dict) or "order" not in entry or "value" not in entry:
-            raise MomentTableError(
-                f"cumulant table {ns.cumulants}: each entry needs 'order' and 'value'"
-            )
-        n = entry["order"]
-        # JSON true and false load as bool, a subclass of int.
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise MomentTableError(f"cumulant table {ns.cumulants}: bad order {n!r}")
-        if n in by_order:
-            raise MomentTableError(f"cumulant table {ns.cumulants}: duplicate order {n}")
-        by_order[n] = parse_rational(entry["value"])
+    by_order = _load_cumulants(ns.cumulants)
     if ns.up_to < 0:
         raise ValueError("--up-to must be >= 0")
     missing = [n for n in range(1, ns.up_to + 1) if n not in by_order]

@@ -12,6 +12,12 @@ Moment tables are loaded from JSON of the form::
                  {"word": ["a", "b"], "value": "0/1"}]}
 
 with every value a ``p/q`` string.  A rule's values join the table.
+
+Free cumulant tables, which the CLI's ``moments`` command reads, list
+one value per order, each order a positive integer at most once::
+
+    {"cumulants": [{"order": 1, "value": "0/1"},
+                   {"order": 2, "value": "1/1"}]}
 """
 
 from __future__ import annotations
@@ -194,11 +200,7 @@ def load_moments(path: str) -> MomentFunctional:
     """Load and validate a JSON moment table.  See the module docstring
     for the format.  Duplicate monomials, unknown variables, malformed
     rationals, and a non-unit empty monomial are all hard errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MomentTableError(f"moment table {path}: invalid JSON ({exc})") from None
+    data = _read_json(path, "moment table")
     if not isinstance(data, dict):
         raise MomentTableError(f"moment table {path}: top level must be an object")
     variables = data.get("vars")
@@ -236,7 +238,34 @@ def load_moments(path: str) -> MomentFunctional:
                 f"moment table {path}: the empty monomial must have value 1/1, got {entry['value']}"
             )
         table[key] = value
+    return MomentFunctional(tuple(variables), table)
+
+
+def _load_cumulants(path: str) -> dict[int, Fraction]:
+    """Load and validate a JSON free cumulant table, as values by order.
+    See the module docstring for the format."""
+    data = _read_json(path, "cumulant table")
+    if not isinstance(data, dict) or not isinstance(data.get("cumulants"), list):
+        raise MomentTableError(f"cumulant table {path}: expected an object with a 'cumulants' list")
+    by_order: dict[int, Fraction] = {}
+    for entry in data["cumulants"]:
+        if not isinstance(entry, dict) or "order" not in entry or "value" not in entry:
+            raise MomentTableError(f"cumulant table {path}: each entry needs 'order' and 'value'")
+        n = entry["order"]
+        # JSON true and false load as bool, a subclass of int.
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise MomentTableError(f"cumulant table {path}: bad order {_echo(n)}")
+        if n in by_order:
+            raise MomentTableError(f"cumulant table {path}: duplicate order {n}")
+        by_order[n] = parse_rational(entry["value"])
+    return by_order
+
+
+def _read_json(path: str, what: str) -> object:
+    """The JSON value in the file at ``path``; invalid JSON is a
+    ``MomentTableError`` that names the file as ``what``."""
     try:
-        return MomentFunctional(tuple(variables), table)
-    except ValueError as exc:
-        raise MomentTableError(f"moment table {path}: {exc}") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise MomentTableError(f"{what} {path}: invalid JSON ({exc})") from None

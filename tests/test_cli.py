@@ -322,6 +322,14 @@ class TestCumulantsCommand:
             "--args", "v,w", "--up-to", "2",
         ) == (1, "", "error: batch mode takes exactly one variable in --args\n")
 
+    def test_batch_prints_each_order_before_a_missing_moment(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"vars": ["v"], "moments": [{"word": ["v"], "value": "1/2"}]}))
+        assert run(
+            capsys, "cumulants", "--moments", str(path), "--kind", "free",
+            "--args", "v", "--up-to", "3",
+        ) == (2, "1 1/2\n", "error: moment undefined for monomial v*v\n")
+
     def test_word_kind_needs_one_variable_per_letter(self, capsys, moments_file):
         assert run(
             capsys, "cumulants", "--moments", moments_file, "--kind", "word",
@@ -425,6 +433,46 @@ class TestMomentsCommand:
         code, out, err = run(capsys, "moments", "--cumulants", path, "--up-to", "1")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_invalid_json_names_the_table(self, capsys, tmp_path):
+        path = self.write(tmp_path, "nope {")
+        assert run(capsys, "moments", "--cumulants", path, "--up-to", "1") == (
+            1, "",
+            f"error: cumulant table {path}: invalid JSON "
+            "(Expecting value: line 1 column 1 (char 0))\n",
+        )
+
+
+@pytest.mark.parametrize("length", [64, 5000])
+@pytest.mark.parametrize(
+    "case", ["malformed-args", "unknown-variable", "letter-count", "bad-order"]
+)
+def test_error_line_cuts_a_long_input(capsys, moments_file, tmp_path, case, length):
+    # A value of up to 64 characters shows whole; a longer one shows its
+    # first 64 characters and its length, so the line stays short.
+    def shown(value):
+        return repr(value) if len(value) <= 64 else f"'{value[:64]}…' ({len(value)} characters)"
+
+    cumulants = ("cumulants", "--moments", moments_file)
+    if case == "malformed-args":
+        value = "," + "v" * (length - 1)
+        argv = (*cumulants, "--kind", "free", "--args", value)
+        message = f"malformed --args {shown(value)}: empty variable name"
+    elif case == "unknown-variable":
+        value = "w" * length
+        argv = (*cumulants, "--kind", "free", "--args", value)
+        message = f"--args names {shown(value)}, which is not a variable of {moments_file}"
+    elif case == "letter-count":
+        value = "ab" * (length // 2)
+        argv = (*cumulants, "--kind", "word", "--word", value, "--args", "v")
+        message = f"--args names 1 variables but {shown(value)} has 2 letters"
+    else:
+        value = "1" * length
+        path = tmp_path / "cumulants.json"
+        path.write_text(json.dumps({"cumulants": [{"order": value, "value": "1/1"}]}))
+        argv = ("moments", "--cumulants", str(path), "--up-to", "1")
+        message = f"cumulant table {path}: bad order {shown(value)}"
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestTopLevel:

@@ -320,6 +320,24 @@ class TestLoadMoments:
             load_moments(self.write(tmp_path, payload))
 
     @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ("not json {", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+            ({"vars": ["a", "a"], "moments": []}, "duplicate variable names"),
+            (
+                {"vars": ["a"], "moments": [{"word": [], "value": "2/1"}]},
+                "the empty monomial must have value 1/1, got 2/1",
+            ),
+        ],
+        ids=["invalid-json", "duplicate-variables", "non-unit-empty-monomial"],
+    )
+    def test_table_error_text(self, tmp_path, payload, message):
+        path = self.write(tmp_path, payload)
+        with pytest.raises(MomentTableError) as info:
+            load_moments(path)
+        assert str(info.value) == f"moment table {path}: {message}"
+
+    @pytest.mark.parametrize(
         "entry, shown",
         [
             ({"word": ["a"]}, "{'word': ['a']}"),

@@ -22,6 +22,7 @@ class TestCanonicalSurjection:
     def test_valid_forms(self):
         f = CanonicalSurjection(3, 2, (1, 2, 2))
         assert f.blocks() == ((1,), (2, 3))
+        assert str(f) == f.block_notation() == "{1}{2,3}"
         # equal and hashed by the field tuple; no other class compares equal
         assert f == CanonicalSurjection(n=3, m=2, assignment=[1, 2, 2])
         assert hash(f) == hash((3, 2, (1, 2, 2)))
