@@ -21,13 +21,13 @@ from .cumulants import (
 from .probability import (
     MissingMomentError,
     MomentTableError,
-    _echo,
     _load_cumulants,
     format_rational,
     load_moments,
 )
 from .words import (
     Alphabet,
+    _echo,
     enumerate_nc_basis,
     enumerate_word_basis,
     is_noncrossing,

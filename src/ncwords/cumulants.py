@@ -30,7 +30,11 @@ first-occurrence relabelling), the terms whose blocks read the same
 multiset of sub-shapes and variables: they have the same product, so
 one entry with an integer multiplicity stands for all of them.  For one
 variable and the ascending word the groups are the block types of the
-non-crossing partitions, counted by Kreweras's formula.
+non-crossing partitions, counted by Kreweras's formula.  ``_reads``
+makes a query's reads concrete, once per shape and variables for the
+whole process: each read's memo key ``(sub-shape, variables)`` in read
+order, beside the groups.  It keeps the ``_READS_SIZE`` (1024) most
+recently used queries, since variable names come from the caller.
 
 A :class:`CumulantTable` only executes groups, on integers: it keeps a
 scale ``D`` that every moment's denominator read so far divides, and
@@ -75,6 +79,10 @@ Shape = tuple[int, ...]
 # letters read.
 Block = tuple[Shape, tuple[int, ...]]
 Term = tuple[Block, ...]
+# Per group of equal-product terms: its multiplicity and its reads' numbers.
+Groups = tuple[tuple[int, tuple[int, ...]], ...]
+# A query, and the memo key of its value: a shape and its variables.
+Key = tuple[Shape, tuple[str, ...]]
 
 
 @functools.cache
@@ -111,7 +119,7 @@ def _plan(shape: Shape) -> tuple[Term, ...]:
 
 
 @functools.cache
-def _groups(shape: Shape, pattern: Shape) -> tuple[Term, tuple[tuple[int, tuple[int, ...]], ...]]:
+def _groups(shape: Shape, pattern: Shape) -> tuple[Term, Groups]:
     """``_plan(shape)`` with equal-product terms merged, for variables
     whose first-occurrence relabelling is ``pattern``: terms whose
     blocks read the same multiset of sub-shapes and variables.
@@ -140,13 +148,35 @@ def _groups(shape: Shape, pattern: Shape) -> tuple[Term, tuple[tuple[int, tuple[
     return blocks, tuple([(mult, ids) for ids, (mult,) in groups.items()])
 
 
+# Entries in the per-key read cache.  The free and peak-word cumulants
+# of every argument tuple on two variables to order 6 reach 246 keys,
+# which it holds four times over; on three variables to order 6 they
+# reach 2172, and the bound keeps those to about 3 MB.
+_READS_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_READS_SIZE)
+def _reads(key: Key) -> tuple[tuple[Key, ...], Groups]:
+    """The reads and groups of ``key = (shape, variables)``: ``_groups``
+    for the pattern of the variables, with each read made concrete as
+    the memo key ``(sub-shape, variables)`` of its value, in read-number
+    order.  Neither depends on the moments, so every table shares them.
+    Keeps the ``_READS_SIZE`` most recently used keys; a new key whose
+    pattern is known costs one relabelling and no walk of the plan."""
+    shape, assign = key
+    rank: dict[str, int] = {}
+    reads, groups = _groups(shape, tuple([rank.setdefault(v, len(rank)) for v in assign]))
+    return tuple([(sub, tuple([assign[i] for i in at])) for sub, at in reads]), groups
+
+
 class CumulantTable:
     """Word cumulants of one moment functional, with memoization.
 
     Each query is relabelled to its shape, the word in first occurrence
     order, with the variables in the same order, so structurally
-    identical queries share a memo entry.  The plans and groups the
-    table executes are shared by every table in the process; the memo of
+    identical queries share a memo entry.  The plans, the groups and
+    each query's concrete reads, a cache of the 1024 most recently used
+    queries, are shared by every table in the process; the memo of
     values is per table.
 
     Values are memoized as ``D^k`` times each cumulant of ``k`` letters
@@ -166,7 +196,7 @@ class CumulantTable:
     def __init__(self, E: MomentFunctional) -> None:
         self.E = E
         self._scale = 1
-        self._memo: dict[tuple[Shape, tuple[str, ...]], int] = {}
+        self._memo: dict[Key, int] = {}
         self._moments: dict[tuple[str, ...], Fraction] = {}
         self._lock = threading.RLock()
 
@@ -178,6 +208,8 @@ class CumulantTable:
         in order of the letters' first occurrence in ``w``: the word
         ``ba`` with ``a -> x`` and ``b -> y`` reads ``E(y x)``.
         """
+        if not isinstance(w, Word):
+            raise TypeError(f"word_cumulant takes a Word, got {type(w).__name__}")
         assign = tuple(assign)
         if len(assign) != w.alphabet.size:
             raise ValueError(
@@ -194,14 +226,14 @@ class CumulantTable:
         with self._lock:
             return Fraction(self._value((shape, assign)), self._scale ** len(assign))
 
-    def _value(self, key: tuple[Shape, tuple[str, ...]]) -> int:
+    def _value(self, key: Key) -> int:
         """``scale^k`` times the cumulant of ``key = (shape, variables)``,
         at the scale the table has on return."""
         memo = self._memo
         hit = memo.get(key)
         if hit is not None:
             return hit
-        shape, assign = key
+        assign = key[1]
         m = self._moments.get(assign)
         if m is None:
             m = self._moments[assign] = self.E.expect(assign)
@@ -211,9 +243,7 @@ class CumulantTable:
             for done in memo:
                 memo[done] *= ratio ** len(done[1])
             self._scale = scale
-        rank: dict[str, int] = {}
-        reads, groups = _groups(shape, tuple([rank.setdefault(v, len(rank)) for v in assign]))
-        blocks = [(sub, tuple([assign[i] for i in at])) for sub, at in reads]
+        blocks, groups = _reads(key)
         scale = self._scale
         # A memoized 0 falls through to _value, which returns it.
         values = [memo.get(block) or self._value(block) for block in blocks]

@@ -27,6 +27,8 @@ import re
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
+from .words import _echo
+
 
 class MissingMomentError(LookupError):
     """Raised when a functional has no value for a requested monomial.
@@ -45,22 +47,6 @@ class MomentTableError(ValueError):
 
 
 _RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
-# The most characters of a value that an error message echoes, so that
-# a value of thousands of characters still gives a short line.
-_ECHO = 64
-
-
-def _echo(value: object) -> str:
-    """``repr(value)`` for an error message.  A string longer than
-    ``_ECHO`` characters shows as its first ``_ECHO`` and its length,
-    ``'1111…' (4303 characters)``; another value whose repr is longer
-    shows as that much of the repr and the repr's length."""
-    if not isinstance(value, str):
-        text = repr(value)
-        return text if len(text) <= _ECHO else f"{text[:_ECHO]}… ({len(text)} characters)"
-    if len(value) <= _ECHO:
-        return repr(value)
-    return f"{value[:_ECHO] + '…'!r} ({len(value)} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -68,7 +54,7 @@ def parse_rational(text: str) -> Fraction:
 
     Exactly an optional ``-``, ASCII digits, ``/`` and ASCII digits: no
     whitespace, ``+``, underscores or signed denominator.  An error
-    message echoes at most ``_ECHO`` characters of the value.
+    message echoes a long value cut short, as ``words._echo`` does.
     """
     if not isinstance(text, str) or _RATIONAL.fullmatch(text) is None:
         raise MomentTableError(f"rational value must be a 'p/q' string, got {_echo(text)}")
@@ -257,15 +243,20 @@ def _load_cumulants(path: str) -> dict[int, Fraction]:
             raise MomentTableError(f"cumulant table {path}: bad order {_echo(n)}")
         if n in by_order:
             raise MomentTableError(f"cumulant table {path}: duplicate order {n}")
-        by_order[n] = parse_rational(entry["value"])
+        try:
+            by_order[n] = parse_rational(entry["value"])
+        except MomentTableError as exc:
+            raise MomentTableError(f"cumulant table {path}: order {n}: {exc}") from None
     return by_order
 
 
 def _read_json(path: str, what: str) -> object:
-    """The JSON value in the file at ``path``; invalid JSON is a
-    ``MomentTableError`` that names the file as ``what``."""
+    """The JSON value in the file at ``path``.  Any ``ValueError`` of
+    the parse (invalid JSON, bytes that are not UTF-8, an integer
+    literal longer than ``int`` converts) is a ``MomentTableError`` that
+    names the file as ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise MomentTableError(f"{what} {path}: invalid JSON ({exc})") from None

@@ -21,6 +21,8 @@ Conventions used throughout the package:
   as ``a .. b .. a .. b``, and *reduced* when it is its own normal form.
   A *basis word* is pangrammatic and reduced; ``_check_basis_word``, the
   one check of the decompositions and cumulants, refuses other words.
+- An error message echoes a long input cut short by ``_echo``, which
+  the table readers and the CLI use too.
 
 All values are immutable and every operation returns a fresh word, so
 everything here is safe for unrestricted concurrent use.  The package's
@@ -211,6 +213,23 @@ class Word(_Frozen):
 # The valid letter ids of a k-letter alphabet, for the check in Word.
 _letter_ids = functools.lru_cache(maxsize=64)(lambda k: frozenset(range(k)))
 
+# The most characters of a value that an error message echoes, so that
+# a value of thousands of characters still gives a short line.
+_ECHO = 64
+
+
+def _echo(value: object) -> str:
+    """``repr(value)`` for an error message.  A string longer than
+    ``_ECHO`` characters shows as its first ``_ECHO`` and its length,
+    ``'1111…' (4303 characters)``; another value whose repr is longer
+    shows as that much of the repr and the repr's length."""
+    if not isinstance(value, str):
+        text = repr(value)
+        return text if len(text) <= _ECHO else f"{text[:_ECHO]}… ({len(text)} characters)"
+    if len(value) <= _ECHO:
+        return repr(value)
+    return f"{value[:_ECHO] + '…'!r} ({len(value)} characters)"
+
 
 def parse_word(text: str) -> Word:
     """Parse a word from text, building its alphabet by first occurrence.
@@ -227,7 +246,7 @@ def parse_word(text: str) -> Word:
         raise ValueError("empty word")
     names = text.split(",") if "," in text else list(text)
     if any(not n for n in names):
-        raise ValueError(f"malformed word {text!r}: empty letter name")
+        raise ValueError(f"malformed word {_echo(text)}: empty letter name")
     index = {n: i for i, n in enumerate(dict.fromkeys(names))}
     return Word(Alphabet(tuple(index)), tuple(index[n] for n in names))
 
@@ -363,11 +382,11 @@ def _check_basis_word(w: Word, noncrossing: bool = False) -> None:
     """Raise unless ``w`` is pangrammatic, reduced and, with
     ``noncrossing`` set, non-crossing (:class:`CrossingWordError`)."""
     if not is_pangrammatic(w):
-        raise ValueError(f"word {render_word(w)!r} does not use every alphabet letter")
+        raise ValueError(f"word {_echo(render_word(w))} does not use every alphabet letter")
     if not is_reduced(w):
-        raise ValueError(f"word {render_word(w)!r} is not reduced")
+        raise ValueError(f"word {_echo(render_word(w))} is not reduced")
     if noncrossing and not is_noncrossing(w):
-        raise CrossingWordError(f"word {render_word(w)!r} is crossing")
+        raise CrossingWordError(f"word {_echo(render_word(w))} is crossing")
 
 
 def apply_map(

@@ -1,5 +1,5 @@
 """Boundary fuzzing of the public constructors and of the entry points
-that take letter ids or sizes.
+that take letter ids, sizes or words.
 
 Whatever the arguments, each call must return a value or raise a
 ``ValueError`` or ``TypeError`` whose message is one nonempty line:
@@ -8,17 +8,22 @@ examples are derandomized and their number fixed, so the file runs the
 same cases every time; enumerator sizes stay at n <= 8.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncwords import (
     Alphabet,
     CanonicalSurjection,
+    CumulantTable,
     Word,
     enumerate_canonical_surjections,
     enumerate_nc_partitions,
     parse_word,
     restrict,
+    semicircular_family,
+    word_cumulant,
 )
 
 from oracles import BELL, CATALAN
@@ -89,6 +94,21 @@ class TestBoundary:
             assert all(type(x) is int for x in keep)
             assert result.alphabet.size == len(set(keep))
             assert set(result.seq) <= set(range(result.alphabet.size))
+
+    @FUZZ
+    @given(st.one_of(values, st.sampled_from(["a", "aba", "abab", "abcb"]).map(parse_word)))
+    @pytest.mark.parametrize(
+        "cumulant",
+        [word_cumulant, lambda E, w, assign: CumulantTable(E).word_cumulant(w, assign)],
+        ids=["function", "method"],
+    )
+    def test_word_cumulant(self, cumulant, w):
+        # the semicircle has a moment for every monomial in its variable
+        E = semicircular_family([1], names=("v",))
+        assign = ("v",) * (w.alphabet.size if isinstance(w, Word) else 1)
+        result = outcome(cumulant, E, w, assign)
+        if isinstance(result, Fraction):
+            assert isinstance(w, Word)
 
     @FUZZ
     @given(values)

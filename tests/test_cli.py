@@ -434,6 +434,13 @@ class TestMomentsCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_bad_value_names_the_table_and_order(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"cumulants": [{"order": 2, "value": "1/0"}]})
+        assert run(capsys, "moments", "--cumulants", path, "--up-to", "2") == (
+            1, "",
+            f"error: cumulant table {path}: order 2: zero denominator in rational value '1/0'\n",
+        )
+
     def test_invalid_json_names_the_table(self, capsys, tmp_path):
         path = self.write(tmp_path, "nope {")
         assert run(capsys, "moments", "--cumulants", path, "--up-to", "1") == (
@@ -445,7 +452,15 @@ class TestMomentsCommand:
 
 @pytest.mark.parametrize("length", [64, 5000])
 @pytest.mark.parametrize(
-    "case", ["malformed-args", "unknown-variable", "letter-count", "bad-order"]
+    "case",
+    [
+        "malformed-args",
+        "unknown-variable",
+        "letter-count",
+        "malformed-word",
+        "crossing-word",
+        "bad-order",
+    ],
 )
 def test_error_line_cuts_a_long_input(capsys, moments_file, tmp_path, case, length):
     # A value of up to 64 characters shows whole; a longer one shows its
@@ -466,6 +481,14 @@ def test_error_line_cuts_a_long_input(capsys, moments_file, tmp_path, case, leng
         value = "ab" * (length // 2)
         argv = (*cumulants, "--kind", "word", "--word", value, "--args", "v")
         message = f"--args names 1 variables but {shown(value)} has 2 letters"
+    elif case == "malformed-word":
+        value = "a,," + "b" * (length - 3)
+        argv = ("reduce", value)
+        message = f"malformed word {shown(value)}: empty letter name"
+    elif case == "crossing-word":
+        value = "ab" * (length // 2)
+        argv = ("decompose", value, "--nc")
+        message = f"word {shown(value)} is crossing"
     else:
         value = "1" * length
         path = tmp_path / "cumulants.json"

@@ -38,7 +38,7 @@ from ncwords import (
     word_cumulant,
 )
 
-from ncwords.cumulants import _groups, _plan
+from ncwords.cumulants import _groups, _plan, _reads
 
 from oracles import (
     fraction_classical_cumulant,
@@ -517,18 +517,30 @@ class TestPlans:
         first = CumulantTable(two_var_table(rng, 6))
         for w, args in queries:
             first.word_cumulant(w, args)
-        plans, groups = _plan.cache_info(), _groups.cache_info()
+        plans, groups, reads = _plan.cache_info(), _groups.cache_info(), _reads.cache_info()
         E = two_var_table(rng, 6)
         second = CumulantTable(E)
         values = [second.word_cumulant(w, args) for w, args in queries]
         assert _plan.cache_info().misses == plans.misses
         assert _groups.cache_info().misses == groups.misses
-        assert _groups.cache_info().hits > groups.hits
+        assert _reads.cache_info().misses == reads.misses
+        assert _reads.cache_info().hits > reads.hits
         assert values[:3] == [
             free_cumulant_direct(E, queries[0][1]),
             free_cumulant_direct(E, queries[1][1]),
             boolean_cumulant(E, queries[2][1]),
         ]
+
+    def test_renamed_variables_reuse_the_groups(self):
+        # the same pattern under new variable names is a new key for
+        # _reads, and _groups already holds its pattern
+        old, new = ("old_a", "old_b"), ("new_a", "new_b")
+        E = MomentFunctional(old + new, rule=lambda t: Fraction(len(t), 7))
+        CumulantTable(E).word_cumulant(peak_word(5), [old[i] for i in (0, 1, 1, 0, 0)])
+        groups, reads = _groups.cache_info(), _reads.cache_info()
+        CumulantTable(E).word_cumulant(peak_word(5), [new[i] for i in (0, 1, 1, 0, 0)])
+        assert _groups.cache_info().misses == groups.misses
+        assert _reads.cache_info().misses > reads.misses
 
     def test_free_cumulants_to_order_10_round_trip(self):
         rng = random.Random(113)
@@ -884,3 +896,34 @@ class TestMissingMoments:
         assert len(set(E.requests)) == len(E.requests)
         assert E.requests[-1] == tuple(missing)
         assert lcm(*[moments[t].denominator for t in E.requests[:-1]]) > 1
+
+    def test_cold_and_warm_reads_request_the_same_moments(self):
+        # the queries above, on their two gap tables: a cold read cache
+        # and a warm one request the same monomials in the same order
+        cases = [
+            ((2016, (1, 2, 3, 4, 5)), word, args)
+            for word, args in [
+                ("free", "abba"), ("free", "abbab"), ("free", "ababa"), ("free", "baaba"),
+                ("free", "aababa"), ("peak", "abbab"), ("peak", "baaba"), ("peak", "aabbab"),
+                ("12324", "abba"),
+            ]
+        ] + [
+            ((2017, (1, 2, 3, 5, 7)), word, args)
+            for word, args in [
+                ("free", "aababa"), ("peak", "baabab"), ("free", "aabbab"), ("peak", "ababa"),
+            ]
+        ]
+
+        def requests():
+            seen = []
+            for table, word, args in cases:
+                E = RecordingFunctional(("a", "b"), gap_moments(*table))
+                with pytest.raises(MissingMomentError) as info:
+                    query(CumulantTable(E), word, args)
+                assert E.requests[-1] == info.value.monomial
+                seen.append(E.requests)
+            return seen
+
+        _reads.cache_clear()
+        cold = requests()
+        assert requests() == cold

@@ -61,6 +61,7 @@ def test_import_graph():
         ("cumulants", "probability"),
         ("cumulants", "surjections"),
         ("cumulants", "words"),
+        ("probability", "words"),
         ("surjections", "words"),
     }
 

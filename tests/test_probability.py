@@ -356,6 +356,18 @@ class TestLoadMoments:
             f"moment table {path}: each entry needs 'word' and 'value', got {shown}"
         )
 
+    @NEEDS_DIGIT_LIMIT
+    def test_integer_past_the_digit_limit_names_the_table(self, tmp_path):
+        # json.load raises a plain ValueError, not a JSONDecodeError, for
+        # an integer literal longer than int() converts
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        path = self.write(tmp_path, '{"vars": ["a"], "moments": [], "n": ' + digits + "}")
+        with pytest.raises(MomentTableError) as info:
+            load_moments(path)
+        message = str(info.value)
+        assert message.startswith(f"moment table {path}: invalid JSON (Exceeds the limit (")
+        assert "\n" not in message and len(message) < 200 + len(path)
+
     def test_missing_file_is_an_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_moments(str(tmp_path / "absent.json"))
