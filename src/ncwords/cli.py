@@ -48,15 +48,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    # Each subcommand binds its handler, which main calls as ns.run(ns).
     sp = sub.add_parser("reduce", help="reduce a word to normal form")
     sp.add_argument("word")
+    sp.set_defaults(run=_run_reduce)
 
     sp = sub.add_parser("check", help="report reduced / non-crossing / pangrammatic flags")
     sp.add_argument("word")
+    sp.set_defaults(run=_run_check)
 
     sp = sub.add_parser("decompose", help="list the decomposition terms of a word")
     sp.add_argument("word")
     sp.add_argument("--nc", action="store_true", help="non-crossing decomposition")
+    sp.set_defaults(run=_run_decompose)
 
     sp = sub.add_parser("coassoc", help="run coassociativity checks")
     sp.add_argument("--alphabet-size", type=int, required=True)
@@ -64,13 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nc", action="store_true", help="check the non-crossing cooperad")
     sp.add_argument("--samples", type=int, help="randomized mode: number of words")
     sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(run=_run_coassoc)
 
     sp = sub.add_parser("ncpartitions", help="list non-crossing partitions of [N]")
     sp.add_argument("n", type=int)
     sp.add_argument("--count-only", action="store_true")
+    sp.set_defaults(run=_run_listing, listing=enumerate_nc_partitions)
 
     sp = sub.add_parser("surjections", help="list canonical surjections from [N]")
     sp.add_argument("n", type=int)
+    sp.set_defaults(run=_run_listing, listing=enumerate_canonical_surjections, count_only=False)
 
     sp = sub.add_parser("cumulants", help="evaluate a cumulant from a moment table")
     sp.add_argument("--moments", required=True, metavar="FILE")
@@ -83,11 +90,54 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="batch mode: one record per order 1..N for a single variable",
     )
+    sp.set_defaults(run=_run_cumulants)
 
     sp = sub.add_parser("moments", help="moments from a free cumulant table")
     sp.add_argument("--cumulants", required=True, metavar="FILE")
     sp.add_argument("--up-to", type=int, required=True)
+    sp.set_defaults(run=_run_moments)
     return p
+
+
+def _at_least(value: int, low: int, name: str) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
+def _run_reduce(ns: argparse.Namespace) -> int:
+    w = parse_word(ns.word)
+    print(render_word(reduce_word(w), prefer_chars="," not in ns.word))
+    return 0
+
+
+def _run_check(ns: argparse.Namespace) -> int:
+    w = parse_word(ns.word)
+    flags = {"reduced": is_reduced, "non-crossing": is_noncrossing, "pangrammatic": is_pangrammatic}
+    for name, test in flags.items():
+        print(f"{name}={'true' if test(w) else 'false'}")
+    return 0
+
+
+def _run_decompose(ns: argparse.Namespace) -> int:
+    from .cooperad import _iter_terms, format_term
+
+    w = parse_word(ns.word)
+    prefer_chars = "," not in ns.word
+    # Each term is printed as soon as it is built; none is kept.
+    for term in _iter_terms(w, noncrossing=ns.nc):
+        print(format_term(term, prefer_chars))
+    return 0
+
+
+def _run_listing(ns: argparse.Namespace) -> int:
+    _at_least(ns.n, 1, "N")
+    found = ns.listing(ns.n)
+    if ns.count_only:
+        print(len(found))
+    else:
+        for f in found:
+            print(f.block_notation())
+    return 0
 
 
 def _run_cumulants(ns: argparse.Namespace) -> int:
@@ -105,8 +155,7 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
     if ns.up_to is not None:
         if ns.kind == "word":
             raise ValueError("batch mode (--up-to) does not apply to --kind word")
-        if ns.up_to < 1:
-            raise ValueError("--up-to must be >= 1")
+        _at_least(ns.up_to, 1, "--up-to")
         if len(args) != 1:
             raise ValueError("batch mode takes exactly one variable in --args")
         queries = [(f"{n} ", args * n) for n in range(1, ns.up_to + 1)]
@@ -144,8 +193,7 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
 
 def _run_moments(ns: argparse.Namespace) -> int:
     by_order = _load_cumulants(ns.cumulants)
-    if ns.up_to < 0:
-        raise ValueError("--up-to must be >= 0")
+    _at_least(ns.up_to, 0, "--up-to")
     missing = [n for n in range(1, ns.up_to + 1) if n not in by_order]
     if missing:
         raise MomentTableError(
@@ -157,19 +205,11 @@ def _run_moments(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _random_words(ns: argparse.Namespace, rng: random.Random):
-    for _ in range(ns.samples):
-        k = rng.randint(1, ns.alphabet_size)
-        yield random_basis_word(rng, k, max(k, ns.max_len), noncrossing=ns.nc)
-
-
 def _run_coassoc(ns: argparse.Namespace) -> int:
     from .cooperad import check_coassociativity
 
-    if ns.alphabet_size < 1:
-        raise ValueError("--alphabet-size must be >= 1")
-    if ns.max_len < 1:
-        raise ValueError("--max-len must be >= 1")
+    _at_least(ns.alphabet_size, 1, "--alphabet-size")
+    _at_least(ns.max_len, 1, "--max-len")
     label = "nc cooperad" if ns.nc else "word cooperad"
     if ns.samples is None:
         basis = enumerate_nc_basis if ns.nc else enumerate_word_basis
@@ -178,11 +218,13 @@ def _run_coassoc(ns: argparse.Namespace) -> int:
         )
         what, tail = "words", ""
     else:
-        if ns.samples < 1:
-            raise ValueError("--samples must be >= 1")
+        _at_least(ns.samples, 1, "--samples")
         # Drawn one at a time between checks, so that a sampler give-up
-        # still follows the checks of the words drawn before it.
-        words = _random_words(ns, random.Random(ns.seed))
+        # still follows the checks of the words drawn before it; each
+        # size is drawn just before its word.
+        rng = random.Random(ns.seed)
+        sizes = (rng.randint(1, ns.alphabet_size) for _ in range(ns.samples))
+        words = (random_basis_word(rng, k, max(k, ns.max_len), noncrossing=ns.nc) for k in sizes)
         what, tail = "random words", f", seed {ns.seed}"
     total = 0
     for w in words:
@@ -197,54 +239,6 @@ def _run_coassoc(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch(ns: argparse.Namespace) -> int:
-    if ns.command == "reduce":
-        w = parse_word(ns.word)
-        print(render_word(reduce_word(w), prefer_chars="," not in ns.word))
-        return 0
-    if ns.command == "check":
-        w = parse_word(ns.word)
-        flags = [
-            ("reduced", is_reduced(w)),
-            ("non-crossing", is_noncrossing(w)),
-            ("pangrammatic", is_pangrammatic(w)),
-        ]
-        for name, value in flags:
-            print(f"{name}={'true' if value else 'false'}")
-        return 0
-    if ns.command == "decompose":
-        from .cooperad import _iter_terms, format_term
-
-        w = parse_word(ns.word)
-        prefer_chars = "," not in ns.word
-        # Each term is printed as soon as it is built; none is kept.
-        for term in _iter_terms(w, noncrossing=ns.nc):
-            print(format_term(term, prefer_chars))
-        return 0
-    if ns.command == "coassoc":
-        return _run_coassoc(ns)
-    if ns.command == "ncpartitions":
-        if ns.n < 1:
-            raise ValueError("N must be >= 1")
-        parts = enumerate_nc_partitions(ns.n)
-        if ns.count_only:
-            print(len(parts))
-        else:
-            for part in parts:
-                print(part.block_notation())
-        return 0
-    if ns.command == "surjections":
-        if ns.n < 1:
-            raise ValueError("N must be >= 1")
-        for f in enumerate_canonical_surjections(ns.n):
-            print(f.block_notation())
-        return 0
-    if ns.command == "cumulants":
-        return _run_cumulants(ns)
-    # The subcommand is required, so only "moments" is left.
-    return _run_moments(ns)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -254,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         # errors into the single validation exit code.
         return 0 if not exc.code else 1
     try:
-        return _dispatch(ns)
+        return ns.run(ns)
     except MissingMomentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

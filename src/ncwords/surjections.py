@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .words import _Frozen, _trusted
+from .words import _echo, _Frozen, _trusted
 
 T = TypeVar("T")
 
@@ -35,17 +35,17 @@ class CanonicalSurjection(_Frozen):
     def __init__(self, n: int, m: int, assignment: Iterable[int]) -> None:
         assignment = tuple(assignment)
         if type(n) is not int or type(m) is not int:
-            raise TypeError(f"n and m must be ints, got n={n!r}, m={m!r}")
+            raise TypeError(f"n and m must be ints, got n={_echo(n)}, m={_echo(m)}")
         if n < 1 or len(assignment) != n:
             raise ValueError(f"assignment length {len(assignment)} does not match n={n}")
         if not {int}.issuperset(map(type, assignment)):
-            raise TypeError(f"assignment values must be ints, got {assignment}")
+            raise TypeError(f"assignment values must be ints, got {_echo(assignment)}")
         # Canonical iff the values first occur in the order 1, 2, 3, ...
         firsts = list(dict.fromkeys(assignment))
         if firsts != list(range(1, len(firsts) + 1)):
-            raise ValueError(f"assignment {assignment} is not in canonical min-preimage form")
+            raise ValueError(f"assignment {_echo(assignment)} is not in canonical min-preimage form")
         if len(firsts) != m:
-            raise ValueError(f"assignment {assignment} is not onto [{m}]")
+            raise ValueError(f"assignment {_echo(assignment)} is not onto [{m}]")
         self.__setstate__({"n": n, "m": m, "assignment": assignment})
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -102,7 +102,7 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
 def _check_size(n: int) -> None:
     """Refuse an enumerator size that is not a plain ``int`` >= 1."""
     if type(n) is not int:
-        raise TypeError(f"n must be an int, got {n!r}")
+        raise TypeError(f"n must be an int, got {_echo(n)}")
     if n < 1:
         raise ValueError("n must be >= 1")
 

@@ -22,15 +22,17 @@ Conventions used throughout the package:
   A *basis word* is pangrammatic and reduced; ``_check_basis_word``, the
   one check of the decompositions and cumulants, refuses other words.
 - An error message echoes a long input cut short by ``_echo``, which
-  the table readers and the CLI use too.
+  the surjections, the table readers and the CLI use too.
 
 All values are immutable and every operation returns a fresh word, so
 everything here is safe for unrestricted concurrent use.  The package's
 value types (:class:`Alphabet`, :class:`Word`, the canonical surjections
 and the decomposition terms) are slotted classes on one frozen base,
 ``_Frozen``, which writes their fields and gives the rest of the field
-protocol: equality, hashing, repr and pickling.  Assigning or deleting a
-field raises ``AttributeError``.  They are written out by hand so that
+protocol: equality, hashing, repr and pickling.  ``Alphabet`` is the one
+equality override: it compares sizes, so a ``Word``, equal by its
+fields, compares its alphabet by size.  Assigning or deleting a field
+raises ``AttributeError``.  They are written out by hand so that
 importing the package loads no class generator, nor the ``inspect`` and
 ``ast`` modules one needs.
 
@@ -64,7 +66,8 @@ class _Frozen:
     then they are neither assigned nor deleted.  Instances have no
     ``__dict__`` and take no weak references.  Equality, hashing and the
     repr compare, hash and show the field values in order; ``Alphabet``
-    and ``Word`` override them."""
+    is the only type with its own equality and hash, and ``Alphabet``
+    and ``Word`` show their own repr."""
 
     __slots__ = ()
 
@@ -132,16 +135,16 @@ class Alphabet(_Frozen):
         if not names:
             raise ValueError("alphabet must contain at least one letter")
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate letter names in alphabet: {names}")
+            raise ValueError(f"duplicate letter names in alphabet: {_echo(names)}")
         if any(not isinstance(n, str) or not n or "," in n for n in names):
-            raise ValueError(f"letter names must be nonempty and comma-free: {names}")
+            raise ValueError(f"letter names must be nonempty and comma-free: {_echo(names)}")
         self.__setstate__({"names": names})
 
     @classmethod
     def numeric(cls, k: int) -> "Alphabet":
         """The alphabet ``1, 2, ..., k`` with numeric display names."""
         if type(k) is not int:
-            raise TypeError(f"alphabet size must be an int, got {k!r}")
+            raise TypeError(f"alphabet size must be an int, got {_echo(k)}")
         if k < 1:
             raise ValueError("alphabet size must be >= 1")
         return cls(tuple(str(i) for i in range(1, k + 1)))
@@ -163,8 +166,8 @@ class Alphabet(_Frozen):
 class Word(_Frozen):
     """A nonempty sequence of letters from a finite alphabet.
 
-    Equality compares the alphabet size and the id sequence; display
-    names do not matter.
+    Equality and hashing come from the fields, the alphabet and the id
+    sequence; as alphabets compare by size, display names do not matter.
     """
 
     __slots__ = ("alphabet", "seq")
@@ -177,23 +180,13 @@ class Word(_Frozen):
         if not seq:
             raise ValueError("a word must be a nonempty sequence of letters")
         if not {int}.issuperset(map(type, seq)):
-            raise TypeError(f"letter ids must be ints, got {seq}")
+            raise TypeError(f"letter ids must be ints, got {_echo(seq)}")
         if not isinstance(alphabet, Alphabet):
-            raise TypeError(f"alphabet must be an Alphabet, got {alphabet!r}")
+            raise TypeError(f"alphabet must be an Alphabet, got {_echo(alphabet)}")
         k = alphabet.size
         if not _letter_ids(k).issuperset(seq):
-            raise ValueError(f"letter ids {seq} out of range for alphabet of size {k}")
+            raise ValueError(f"letter ids {_echo(seq)} out of range for alphabet of size {k}")
         self.__setstate__({"alphabet": alphabet, "seq": seq})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.alphabet.size == other.alphabet.size
-            and self.seq == other.seq
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet.size, self.seq))
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -353,16 +346,16 @@ def restrict(w: Word, keep: Iterable[int]) -> Word:
     """
     keep = list(keep)
     if not {int}.issuperset(map(type, keep)):
-        raise TypeError(f"letter ids to keep must be ints, got {keep}")
+        raise TypeError(f"letter ids to keep must be ints, got {_echo(keep)}")
     ids = sorted(set(keep))
     names = w.alphabet.names
     if any(i < 0 or i >= len(names) for i in ids):
-        raise ValueError(f"letter ids {ids} out of range for alphabet of size {len(names)}")
+        raise ValueError(f"letter ids {_echo(ids)} out of range for alphabet of size {len(names)}")
     sub = Alphabet(tuple(names[i] for i in ids))
     kept = restrict_seq(w.seq, ids)
     if not kept:
         raise EmptyRestrictionError(
-            f"restriction of {render_word(w)!r} to letter ids {ids} deletes every letter"
+            f"restriction of {_echo(render_word(w))} to letter ids {_echo(ids)} deletes every letter"
         )
     return Word(sub, kept)
 
@@ -412,6 +405,8 @@ def _basis_dfs(alphabet: Alphabet, max_len: int, noncrossing: bool) -> list[Word
     # lexicographic order of their id sequences.  ``nxt`` holds the next
     # letter to try at each depth: an explicit stack, so long words stay
     # clear of the recursion limit, in memory linear in the depth.
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     k = alphabet.size
     out: list[Word] = []
     seq: list[int] = []
@@ -442,8 +437,6 @@ def enumerate_word_basis(alphabet: Alphabet, max_len: int) -> list[Word]:
 
     Grows like ``k * (k-1)**(len-1)``; keep the bounds small.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     return _basis_dfs(alphabet, max_len, noncrossing=False)
 
 
@@ -456,8 +449,6 @@ def enumerate_nc_basis(alphabet: Alphabet, max_len: int | None = None) -> list[W
     """
     if max_len is None:
         max_len = 2 * alphabet.size - 1
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     return _basis_dfs(alphabet, max_len, noncrossing=True)
 
 

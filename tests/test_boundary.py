@@ -17,6 +17,7 @@ from ncwords import (
     Alphabet,
     CanonicalSurjection,
     CumulantTable,
+    EmptyRestrictionError,
     Word,
     enumerate_canonical_surjections,
     enumerate_nc_partitions,
@@ -120,3 +121,99 @@ class TestBoundary:
         result = outcome(enumerate_, n)
         if not isinstance(result, Exception):
             assert type(n) is int and len(result) == counts[n]
+
+
+def cut(value):
+    """How a message shows a value whose repr passes 64 characters: the
+    first 64 characters of the repr (of the string itself, for a string)
+    and the length."""
+    if isinstance(value, str):
+        return f"{value[:64] + '…'!r} ({len(value)} characters)"
+    text = repr(value)
+    return f"{text[:64]}… ({len(text)} characters)"
+
+
+NUMBERS = tuple(map(str, range(3000)))
+
+# (call, exception, its message): each value type's refusal of a long
+# input echoes it cut, as parse_word does.
+LONG_ECHOES = {
+    "restrict-deletes-every-letter": (
+        lambda: restrict(Word(Alphabet.numeric(3), (0, 1) * 2500), [2]),
+        EmptyRestrictionError,
+        f"restriction of {cut('12' * 2500)} to letter ids [2] deletes every letter",
+    ),
+    "word-ids-out-of-range": (
+        lambda: Word(Alphabet.numeric(2), (0, 1, 5) * 2000),
+        ValueError,
+        f"letter ids {cut((0, 1, 5) * 2000)} out of range for alphabet of size 2",
+    ),
+    "word-ids-not-ints": (
+        lambda: Word(Alphabet.numeric(2), (0, 1.0) * 2000),
+        TypeError,
+        f"letter ids must be ints, got {cut((0, 1.0) * 2000)}",
+    ),
+    "word-alphabet-not-alphabet": (
+        lambda: Word(NUMBERS, (0,)),
+        TypeError,
+        f"alphabet must be an Alphabet, got {cut(NUMBERS)}",
+    ),
+    "surjection-not-onto": (
+        lambda: CanonicalSurjection(6000, 2, (1, 2, 3) * 2000),
+        ValueError,
+        f"assignment {cut((1, 2, 3) * 2000)} is not onto [2]",
+    ),
+    "surjection-not-canonical": (
+        lambda: CanonicalSurjection(4000, 2, (2, 1) * 2000),
+        ValueError,
+        f"assignment {cut((2, 1) * 2000)} is not in canonical min-preimage form",
+    ),
+    "surjection-values-not-ints": (
+        lambda: CanonicalSurjection(4000, 1, (1, 1.0) * 2000),
+        TypeError,
+        f"assignment values must be ints, got {cut((1, 1.0) * 2000)}",
+    ),
+    "surjection-size-not-int": (
+        lambda: CanonicalSurjection([1] * 3000, 1, (1,)),
+        TypeError,
+        f"n and m must be ints, got n={cut([1] * 3000)}, m=1",
+    ),
+    "restrict-ids-not-ints": (
+        lambda: restrict(Word(Alphabet.numeric(2), (0, 1)), [True] * 3000),
+        TypeError,
+        f"letter ids to keep must be ints, got {cut([True] * 3000)}",
+    ),
+    "restrict-ids-out-of-range": (
+        lambda: restrict(Word(Alphabet.numeric(2), (0, 1)), range(3000)),
+        ValueError,
+        f"letter ids {cut(list(range(3000)))} out of range for alphabet of size 2",
+    ),
+    "alphabet-duplicate-names": (
+        lambda: Alphabet(("a",) * 3000),
+        ValueError,
+        f"duplicate letter names in alphabet: {cut(('a',) * 3000)}",
+    ),
+    "alphabet-comma-in-name": (
+        lambda: Alphabet(NUMBERS + ("a,b",)),
+        ValueError,
+        f"letter names must be nonempty and comma-free: {cut(NUMBERS + ('a,b',))}",
+    ),
+    "alphabet-size-not-int": (
+        lambda: Alphabet.numeric("9" * 100),
+        TypeError,
+        f"alphabet size must be an int, got {cut('9' * 100)}",
+    ),
+    "enumerator-size-not-int": (
+        lambda: enumerate_nc_partitions("9" * 100),
+        TypeError,
+        f"n must be an int, got {cut('9' * 100)}",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", LONG_ECHOES.values(), ids=LONG_ECHOES)
+def test_long_input_is_echoed_cut(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+    assert len(message) < 200

@@ -226,6 +226,10 @@ class TestPartitionListing:
         assert run(capsys, "ncpartitions", "0")[0] == 1
         assert run(capsys, "surjections", "0")[0] == 1
 
+    @pytest.mark.parametrize("command", ["ncpartitions", "surjections"])
+    def test_size_below_one_is_one_error_line(self, capsys, command):
+        assert run(capsys, command, "0") == (1, "", "error: N must be >= 1\n")
+
 
 class TestCumulantsCommand:
     def test_free_value(self, capsys, moments_file):

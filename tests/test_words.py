@@ -103,6 +103,17 @@ class TestWord:
         assert hash(w1) == hash(w2)
         assert w1 != Word(Alphabet.numeric(3), (0, 1))
 
+    def test_unequal_to_its_fields_and_other_values(self):
+        w = Word(Alphabet.numeric(2), (0, 1))
+        for other in (w.seq, w.alphabet, CanonicalSurjection(2, 2, (1, 2))):
+            assert w != other and other != w
+
+    def test_renamed_alphabets_collapse_in_a_set(self):
+        names = [("a", "b"), ("x", "y"), ("1", "2"), ("a1", "a2")]
+        words = {Word(Alphabet(pair), (0, 1, 0)) for pair in names}
+        assert words == {Word(Alphabet.numeric(2), (0, 1, 0))}
+        assert Word(Alphabet.numeric(3), (0, 1, 0)) not in words
+
     def test_parse_single_char(self):
         w = parse_word("abcb")
         assert w.seq == (0, 1, 2, 1)
