@@ -27,6 +27,7 @@ from .probability import (
 )
 from .words import (
     Alphabet,
+    _check_size,
     _echo,
     enumerate_nc_basis,
     enumerate_word_basis,
@@ -99,11 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _at_least(value: int, low: int, name: str) -> None:
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
-
-
 def _run_reduce(ns: argparse.Namespace) -> int:
     w = parse_word(ns.word)
     print(render_word(reduce_word(w), prefer_chars="," not in ns.word))
@@ -130,7 +126,7 @@ def _run_decompose(ns: argparse.Namespace) -> int:
 
 
 def _run_listing(ns: argparse.Namespace) -> int:
-    _at_least(ns.n, 1, "N")
+    _check_size(ns.n, "N")
     found = ns.listing(ns.n)
     if ns.count_only:
         print(len(found))
@@ -155,7 +151,7 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
     if ns.up_to is not None:
         if ns.kind == "word":
             raise ValueError("batch mode (--up-to) does not apply to --kind word")
-        _at_least(ns.up_to, 1, "--up-to")
+        _check_size(ns.up_to, "--up-to")
         if len(args) != 1:
             raise ValueError("batch mode takes exactly one variable in --args")
         queries = [(f"{n} ", args * n) for n in range(1, ns.up_to + 1)]
@@ -172,18 +168,16 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
     elif ns.word:
         raise ValueError(f"--word does not apply to --kind {ns.kind}")
     table = CumulantTable(E)
+    value_of = {
+        "free": table.free_cumulant,
+        "word": lambda tup: table.word_cumulant(w, tup),
+        "boolean": lambda tup: boolean_cumulant(E, tup),
+        "classical": lambda tup: classical_cumulant(E, tup),
+    }[ns.kind]
     # A line is printed before the next query runs, so a batch that stops
     # at a missing moment still shows the orders before it.
     for prefix, tup in queries:
-        if ns.kind == "free":
-            value = table.free_cumulant(tup)
-        elif ns.kind == "word":
-            value = table.word_cumulant(w, tup)
-        elif ns.kind == "boolean":
-            value = boolean_cumulant(E, tup)
-        else:
-            value = classical_cumulant(E, tup)
-        text = format_rational(value)
+        text = format_rational(value_of(tup))
         if ns.as_json:
             print(json.dumps({"kind": ns.kind, "N": len(tup), "args": tup, "value": text, **extra}))
         else:
@@ -193,7 +187,7 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
 
 def _run_moments(ns: argparse.Namespace) -> int:
     by_order = _load_cumulants(ns.cumulants)
-    _at_least(ns.up_to, 0, "--up-to")
+    _check_size(ns.up_to, "--up-to", low=0)
     missing = [n for n in range(1, ns.up_to + 1) if n not in by_order]
     if missing:
         raise MomentTableError(
@@ -208,8 +202,8 @@ def _run_moments(ns: argparse.Namespace) -> int:
 def _run_coassoc(ns: argparse.Namespace) -> int:
     from .cooperad import check_coassociativity
 
-    _at_least(ns.alphabet_size, 1, "--alphabet-size")
-    _at_least(ns.max_len, 1, "--max-len")
+    _check_size(ns.alphabet_size, "--alphabet-size")
+    _check_size(ns.max_len, "--max-len")
     label = "nc cooperad" if ns.nc else "word cooperad"
     if ns.samples is None:
         basis = enumerate_nc_basis if ns.nc else enumerate_word_basis
@@ -218,7 +212,7 @@ def _run_coassoc(ns: argparse.Namespace) -> int:
         )
         what, tail = "words", ""
     else:
-        _at_least(ns.samples, 1, "--samples")
+        _check_size(ns.samples, "--samples")
         # Drawn one at a time between checks, so that a sampler give-up
         # still follows the checks of the words drawn before it; each
         # size is drawn just before its word.

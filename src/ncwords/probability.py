@@ -254,7 +254,10 @@ def _read_json(path: str, what: str) -> object:
     """The JSON value in the file at ``path``.  Any ``ValueError`` of
     the parse (invalid JSON, bytes that are not UTF-8, an integer
     literal longer than ``int`` converts) is a ``MomentTableError`` that
-    names the file as ``what``."""
+    names the file as ``what``.  An int ``path`` is refused: ``open``
+    would take it for a file descriptor, read it and close it."""
+    if isinstance(path, int):
+        raise TypeError(f"{what} path must be a file name, got {_echo(path)}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .words import _echo, _Frozen, _trusted
+from .words import _check_size, _echo, _Frozen, _trusted
 
 T = TypeVar("T")
 
@@ -82,7 +82,7 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     """All canonical surjections from ``[n]``, sorted by codomain size and
     then lexicographically by assignment.  There are Bell(n) of them.
     """
-    _check_size(n)
+    _check_size(n, "n")
     # Restricted growth strings, bucketed by codomain size as in _nc_search.
     found: list[list[CanonicalSurjection]] = [[] for _ in range(n)]
     f = [0] * n
@@ -97,14 +97,6 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
 
     grow(0, 0)
     return tuple([s for bucket in found for s in bucket])
-
-
-def _check_size(n: int) -> None:
-    """Refuse an enumerator size that is not a plain ``int`` >= 1."""
-    if type(n) is not int:
-        raise TypeError(f"n must be an int, got {_echo(n)}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
 
 
 def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]], T]) -> list[T]:
@@ -200,6 +192,6 @@ def enumerate_nc_partitions(n: int) -> tuple[CanonicalSurjection, ...]:
     Catalan(n) of them, found by the position scan of
     :func:`nc_image_assignments` without visiting the Bell(n) others.
     """
-    _check_size(n)
+    _check_size(n, "n")
     return tuple(_surjection(a) for a in nc_image_assignments(range(n), n))
 

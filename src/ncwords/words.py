@@ -21,6 +21,10 @@ Conventions used throughout the package:
   as ``a .. b .. a .. b``, and *reduced* when it is its own normal form.
   A *basis word* is pangrammatic and reduced; ``_check_basis_word``, the
   one check of the decompositions and cumulants, refuses other words.
+- A size (an alphabet size, an enumerator's ``n``, a ``max_len``) is a
+  plain ``int`` >= 1: ``_check_size`` is the one check of it, for the
+  surjections and the CLI too, and ``_check_ids`` the one range check
+  of letter ids.
 - An error message echoes a long input cut short by ``_echo``, which
   the surjections, the table readers and the CLI use too.
 
@@ -43,7 +47,6 @@ Text syntax: a word is written either as single-character letters
 
 from __future__ import annotations
 
-import functools
 import random
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -143,10 +146,7 @@ class Alphabet(_Frozen):
     @classmethod
     def numeric(cls, k: int) -> "Alphabet":
         """The alphabet ``1, 2, ..., k`` with numeric display names."""
-        if type(k) is not int:
-            raise TypeError(f"alphabet size must be an int, got {_echo(k)}")
-        if k < 1:
-            raise ValueError("alphabet size must be >= 1")
+        _check_size(k, "alphabet size")
         return cls(tuple(str(i) for i in range(1, k + 1)))
 
     @property
@@ -183,9 +183,7 @@ class Word(_Frozen):
             raise TypeError(f"letter ids must be ints, got {_echo(seq)}")
         if not isinstance(alphabet, Alphabet):
             raise TypeError(f"alphabet must be an Alphabet, got {_echo(alphabet)}")
-        k = alphabet.size
-        if not _letter_ids(k).issuperset(seq):
-            raise ValueError(f"letter ids {_echo(seq)} out of range for alphabet of size {k}")
+        _check_ids(seq, alphabet.size)
         self.__setstate__({"alphabet": alphabet, "seq": seq})
 
     def __len__(self) -> int:
@@ -203,9 +201,6 @@ class Word(_Frozen):
         return f"Word({render_word(self)!r}, k={self.alphabet.size})"
 
 
-# The valid letter ids of a k-letter alphabet, for the check in Word.
-_letter_ids = functools.lru_cache(maxsize=64)(lambda k: frozenset(range(k)))
-
 # The most characters of a value that an error message echoes, so that
 # a value of thousands of characters still gives a short line.
 _ECHO = 64
@@ -222,6 +217,21 @@ def _echo(value: object) -> str:
     if len(value) <= _ECHO:
         return repr(value)
     return f"{value[:_ECHO] + '…'!r} ({len(value)} characters)"
+
+
+def _check_size(value: object, name: str, low: int = 1) -> None:
+    """Refuse a size that is not a plain ``int`` (``bool`` included)
+    at least ``low``, naming it ``name``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {_echo(value)}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
+def _check_ids(ids: Sequence[int], k: int) -> None:
+    """Refuse int letter ids outside ``0..k-1``."""
+    if ids and (min(ids) < 0 or max(ids) >= k):
+        raise ValueError(f"letter ids {_echo(ids)} out of range for alphabet of size {k}")
 
 
 def parse_word(text: str) -> Word:
@@ -349,8 +359,7 @@ def restrict(w: Word, keep: Iterable[int]) -> Word:
         raise TypeError(f"letter ids to keep must be ints, got {_echo(keep)}")
     ids = sorted(set(keep))
     names = w.alphabet.names
-    if any(i < 0 or i >= len(names) for i in ids):
-        raise ValueError(f"letter ids {_echo(ids)} out of range for alphabet of size {len(names)}")
+    _check_ids(ids, len(names))
     sub = Alphabet(tuple(names[i] for i in ids))
     kept = restrict_seq(w.seq, ids)
     if not kept:
@@ -400,14 +409,17 @@ def apply_map(
     return Word(target, seq)
 
 
-def _basis_dfs(alphabet: Alphabet, max_len: int, noncrossing: bool) -> list[Word]:
+def _basis_dfs(alphabet: Alphabet, max_len: int | None, noncrossing: bool) -> list[Word]:
     # Preorder DFS over no-adjacent-repeat sequences yields words in
     # lexicographic order of their id sequences.  ``nxt`` holds the next
     # letter to try at each depth: an explicit stack, so long words stay
     # clear of the recursion limit, in memory linear in the depth.
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    if not isinstance(alphabet, Alphabet):
+        raise TypeError(f"alphabet must be an Alphabet, got {_echo(alphabet)}")
     k = alphabet.size
+    if max_len is None and noncrossing:
+        max_len = 2 * k - 1
+    _check_size(max_len, "max_len")
     out: list[Word] = []
     seq: list[int] = []
     nxt = [0]
@@ -447,8 +459,6 @@ def enumerate_nc_basis(alphabet: Alphabet, max_len: int | None = None) -> list[W
     test suite checks that no longer word qualifies at small sizes, so
     the default enumerates the complete finite basis there.
     """
-    if max_len is None:
-        max_len = 2 * alphabet.size - 1
     return _basis_dfs(alphabet, max_len, noncrossing=True)
 
 
@@ -460,8 +470,7 @@ def peak_word(n: int) -> Word:
     >>> str(peak_word(1)), str(peak_word(2))
     ('1', '12')
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n, "n")
     seq = tuple(range(n)) + tuple(range(n - 2, 0, -1))
     return Word(Alphabet.numeric(n), seq)
 
@@ -482,8 +491,7 @@ def random_basis_word(
     word, which happens when ``max_len`` barely fits ``k`` letters.
     """
     k = alphabet_size
-    if k < 1:
-        raise ValueError("alphabet size must be >= 1")
+    _check_size(k, "alphabet size")
     hi = min(max_len, 2 * k - 1) if noncrossing else max_len
     if hi < k:
         raise ValueError(f"max_len {max_len} cannot fit a pangrammatic word on {k} letters")

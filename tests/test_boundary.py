@@ -8,6 +8,7 @@ examples are derandomized and their number fixed, so the file runs the
 same cases every time; enumerator sizes stay at n <= 8.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,15 @@ from ncwords import (
     EmptyRestrictionError,
     Word,
     enumerate_canonical_surjections,
+    enumerate_nc_basis,
     enumerate_nc_partitions,
+    enumerate_word_basis,
+    is_noncrossing,
+    is_pangrammatic,
+    is_reduced,
     parse_word,
+    peak_word,
+    random_basis_word,
     restrict,
     semicircular_family,
     word_cumulant,
@@ -41,6 +49,17 @@ scalars = st.one_of(
 # A scalar, or a short sequence of them: what a caller may pass for a
 # size, a letter id, or a collection of either.
 values = st.one_of(scalars, st.lists(scalars, max_size=6), st.lists(scalars, max_size=6).map(tuple))
+# The same for a word length: a float length that slipped past the
+# checks would enumerate words up to it, so floats stay small and such
+# a fault fails the test instead of running without end.
+lengths = st.one_of(
+    st.integers(-3, 8),
+    st.booleans(),
+    st.floats(-3, 8),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(scalars, max_size=6),
+)
 
 
 def outcome(fn, *args):
@@ -122,6 +141,58 @@ class TestBoundary:
         if not isinstance(result, Exception):
             assert type(n) is int and len(result) == counts[n]
 
+    @FUZZ
+    @given(st.one_of(st.integers(1, 3).map(Alphabet.numeric), values), lengths)
+    @pytest.mark.parametrize("enumerate_", [enumerate_word_basis, enumerate_nc_basis])
+    def test_basis_enumerators(self, enumerate_, alphabet, max_len):
+        result = outcome(enumerate_, alphabet, max_len)
+        if not isinstance(result, Exception):
+            assert isinstance(alphabet, Alphabet)
+            # only the non-crossing basis has a default length, 2k - 1
+            if max_len is None:
+                assert enumerate_ is enumerate_nc_basis
+                max_len = 2 * alphabet.size - 1
+            assert type(max_len) is int
+            for w in result:
+                assert is_pangrammatic(w) and is_reduced(w) and len(w) <= max_len
+                assert enumerate_ is enumerate_word_basis or is_noncrossing(w)
+
+    @FUZZ
+    @given(values)
+    def test_peak_word(self, n):
+        result = outcome(peak_word, n)
+        if isinstance(result, Word):
+            assert type(n) is int and len(result) == max(1, 2 * n - 2)
+
+
+# Each library entry point that takes a size, as a call of that size,
+# and the name that its refusals give the size.
+SIZED = {
+    "Alphabet.numeric": (Alphabet.numeric, "alphabet size"),
+    "enumerate_canonical_surjections": (enumerate_canonical_surjections, "n"),
+    "enumerate_nc_partitions": (enumerate_nc_partitions, "n"),
+    "enumerate_word_basis": (lambda v: enumerate_word_basis(Alphabet.numeric(2), v), "max_len"),
+    "enumerate_nc_basis": (lambda v: enumerate_nc_basis(Alphabet.numeric(2), v), "max_len"),
+    "peak_word": (peak_word, "n"),
+    "random_basis_word": (lambda v: random_basis_word(random.Random(0), v, 3), "alphabet size"),
+}
+
+
+@pytest.mark.parametrize("call, name", SIZED.values(), ids=SIZED)
+@pytest.mark.parametrize(
+    "size, error, message",
+    [
+        (0, ValueError, "{} must be >= 1"),
+        (2.0, TypeError, "{} must be an int, got 2.0"),
+        (True, TypeError, "{} must be an int, got True"),
+    ],
+    ids=["zero", "float", "bool"],
+)
+def test_sizes_are_checked_under_their_own_name(call, name, size, error, message):
+    with pytest.raises(error) as info:
+        call(size)
+    assert str(info.value) == message.format(name)
+
 
 def cut(value):
     """How a message shows a value whose repr passes 64 characters: the
@@ -202,6 +273,16 @@ LONG_ECHOES = {
         lambda: Alphabet.numeric("9" * 100),
         TypeError,
         f"alphabet size must be an int, got {cut('9' * 100)}",
+    ),
+    "word-basis-alphabet-not-alphabet": (
+        lambda: enumerate_word_basis(NUMBERS, 2),
+        TypeError,
+        f"alphabet must be an Alphabet, got {cut(NUMBERS)}",
+    ),
+    "nc-basis-alphabet-not-alphabet": (
+        lambda: enumerate_nc_basis(NUMBERS),
+        TypeError,
+        f"alphabet must be an Alphabet, got {cut(NUMBERS)}",
     ),
     "enumerator-size-not-int": (
         lambda: enumerate_nc_partitions("9" * 100),

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from ncwords import (
     parse_rational,
     semicircular_family,
 )
+from ncwords import probability
+from ncwords.probability import _load_cumulants
 
 from oracles import CATALAN
 
@@ -371,3 +374,30 @@ class TestLoadMoments:
     def test_missing_file_is_an_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_moments(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize(
+        "read, what", [(load_moments, "moment table"), (_load_cumulants, "cumulant table")]
+    )
+    def test_file_descriptor_is_refused(self, tmp_path, read, what):
+        # open() takes an int for a file descriptor: it would read the
+        # table from the caller's fd and then close it
+        path = self.write(tmp_path, {"vars": ["a"], "moments": [], "cumulants": []})
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(TypeError) as info:
+                read(fd)
+            assert str(info.value) == f"{what} path must be a file name, got {fd}"
+            assert os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("path", [False, True])
+    @pytest.mark.parametrize("read", [load_moments, _load_cumulants])
+    def test_bool_path_is_refused(self, monkeypatch, read, path):
+        # a bool is an int, so open() would take stdin or stdout
+        def never(*args, **kwargs):
+            raise AssertionError("opened")
+
+        monkeypatch.setattr(probability, "open", never, raising=False)
+        with pytest.raises(TypeError, match=f"path must be a file name, got {path}$"):
+            read(path)
