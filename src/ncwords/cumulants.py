@@ -71,7 +71,7 @@ from typing import Iterator, Sequence
 
 from .probability import MomentFunctional
 from .surjections import _nc_search
-from .words import Word, _check_basis_word, reduce_seq, restrict_seq
+from .words import Word, _check_basis_word, _first_occurrence, reduce_seq, restrict_seq
 
 Shape = tuple[int, ...]
 # One plan term: per block, its reduced canonical sub-shape and the
@@ -164,8 +164,7 @@ def _reads(key: Key) -> tuple[tuple[Key, ...], Groups]:
     Keeps the ``_READS_SIZE`` most recently used keys; a new key whose
     pattern is known costs one relabelling and no walk of the plan."""
     shape, assign = key
-    rank: dict[str, int] = {}
-    reads, groups = _groups(shape, tuple([rank.setdefault(v, len(rank)) for v in assign]))
+    reads, groups = _groups(shape, _first_occurrence(assign))
     return tuple([(sub, tuple([assign[i] for i in at])) for sub, at in reads]), groups
 
 
@@ -216,11 +215,8 @@ class CumulantTable:
                 f"assignment names {len(assign)} variables for an alphabet of size {w.alphabet.size}"
             )
         _check_basis_word(w, noncrossing=True)
-        # Letter ids in first-occurrence order, each mapped to its rank.
-        rank: dict[int, int] = {}
-        for x in w.seq:
-            rank.setdefault(x, len(rank))
-        return self._cumulant(tuple(rank[x] for x in w.seq), tuple(assign[x] for x in rank))
+        variables = tuple([assign[x] for x in dict.fromkeys(w.seq)])
+        return self._cumulant(_first_occurrence(w.seq), variables)
 
     def _cumulant(self, shape: Shape, assign: tuple[str, ...]) -> Fraction:
         with self._lock:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .words import _check_size, _echo, _Frozen, _trusted
+from .words import _check_ints, _check_size, _echo, _first_occurrence, _Frozen, _trusted
 
 T = TypeVar("T")
 
@@ -36,15 +36,14 @@ class CanonicalSurjection(_Frozen):
         assignment = tuple(assignment)
         if type(n) is not int or type(m) is not int:
             raise TypeError(f"n and m must be ints, got n={_echo(n)}, m={_echo(m)}")
-        if n < 1 or len(assignment) != n:
+        _check_size(n, "n")
+        if len(assignment) != n:
             raise ValueError(f"assignment length {len(assignment)} does not match n={n}")
-        if not {int}.issuperset(map(type, assignment)):
-            raise TypeError(f"assignment values must be ints, got {_echo(assignment)}")
-        # Canonical iff the values first occur in the order 1, 2, 3, ...
-        firsts = list(dict.fromkeys(assignment))
-        if firsts != list(range(1, len(firsts) + 1)):
+        _check_ints(assignment, "assignment values")
+        # Canonical iff its own relabelling from 1, and then onto [m] iff its max is m.
+        if _first_occurrence(assignment, 1) != assignment:
             raise ValueError(f"assignment {_echo(assignment)} is not in canonical min-preimage form")
-        if len(firsts) != m:
+        if max(assignment) != m:
             raise ValueError(f"assignment {_echo(assignment)} is not onto [{m}]")
         self.__setstate__({"n": n, "m": m, "assignment": assignment})
 
@@ -176,12 +175,7 @@ def nc_image_assignments(seq: Sequence[int], k: int) -> list[tuple[int, ...]]:
         return _nc_search(seq, k, lambda f, masks: tuple(f))
     if sorted(order) != list(range(k)):
         raise ValueError(f"the letters of {tuple(seq)} are not 0..{k - 1}")
-
-    def canonical(f: list[int], masks: list[int]) -> tuple[int, ...]:
-        rank: dict[int, int] = {}
-        return tuple([rank.setdefault(b, len(rank) + 1) for b in f])
-
-    found = _nc_search(seq, k, canonical)
+    found = _nc_search(seq, k, lambda f, masks: _first_occurrence(f, 1))
     found.sort(key=lambda a: (max(a), a))
     return found
 

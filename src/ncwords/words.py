@@ -3,13 +3,11 @@
 Conventions used throughout the package:
 
 - An :class:`Alphabet` is an ordered finite set of letters.  Letters are
-  identified by position, so letter ids are always the ints ``0..k-1``
-  (:class:`Word` and :func:`restrict` refuse other types, and ``bool``,
-  an ``int`` subclass, as a likely mistake).  Display names are
-  presentation only: they drive parsing and rendering but never
-  participate in equality.  Structurally, two alphabets of the same size
-  are interchangeable, which is what makes relabelling invariance a
-  non-event at the data level.
+  identified by position, so letter ids are always the ints ``0..k-1``.
+  Display names are presentation only: they drive parsing and rendering
+  but never participate in equality.  Structurally, two alphabets of the
+  same size are interchangeable, which is what makes relabelling
+  invariance a non-event at the data level.
 - A :class:`Word` is a nonempty sequence of letter ids over its alphabet.
 - :func:`reduce_word` rewrites a word to its unique normal form under the
   two rules "collapse an adjacent repeated letter" and "drop a final
@@ -21,12 +19,14 @@ Conventions used throughout the package:
   as ``a .. b .. a .. b``, and *reduced* when it is its own normal form.
   A *basis word* is pangrammatic and reduced; ``_check_basis_word``, the
   one check of the decompositions and cumulants, refuses other words.
-- A size (an alphabet size, an enumerator's ``n``, a ``max_len``) is a
-  plain ``int`` >= 1: ``_check_size`` is the one check of it, for the
-  surjections and the CLI too, and ``_check_ids`` the one range check
-  of letter ids.
-- An error message echoes a long input cut short by ``_echo``, which
-  the surjections, the table readers and the CLI use too.
+- Each boundary rule has one owner here, which the other modules use
+  too: ``_check_size``, that a size (an alphabet size, an enumerator's
+  ``n``, a ``max_len``) is a plain ``int`` >= 1; ``_check_ints``, that
+  letter ids and assignment values are plain ints, refusing ``bool`` as
+  a likely mistake; ``_check_ids``, that letter ids are in range;
+  ``_first_occurrence``, the relabelling in order of first occurrence
+  (a word's shape, a canonical assignment); and ``_echo``, which cuts a
+  long input short in an error message.
 
 All values are immutable and every operation returns a fresh word, so
 everything here is safe for unrestricted concurrent use.  The package's
@@ -179,8 +179,7 @@ class Word(_Frozen):
             seq = tuple(seq)
         if not seq:
             raise ValueError("a word must be a nonempty sequence of letters")
-        if not {int}.issuperset(map(type, seq)):
-            raise TypeError(f"letter ids must be ints, got {_echo(seq)}")
+        _check_ints(seq, "letter ids")
         if not isinstance(alphabet, Alphabet):
             raise TypeError(f"alphabet must be an Alphabet, got {_echo(alphabet)}")
         _check_ids(seq, alphabet.size)
@@ -228,10 +227,22 @@ def _check_size(value: object, name: str, low: int = 1) -> None:
         raise ValueError(f"{name} must be >= {low}")
 
 
+def _check_ints(values: Sequence[object], what: str) -> None:
+    """Refuse values that are not all plain ``int`` (``bool`` included)."""
+    if not {int}.issuperset(map(type, values)):
+        raise TypeError(f"{what} must be ints, got {_echo(values)}")
+
+
 def _check_ids(ids: Sequence[int], k: int) -> None:
     """Refuse int letter ids outside ``0..k-1``."""
     if ids and (min(ids) < 0 or max(ids) >= k):
         raise ValueError(f"letter ids {_echo(ids)} out of range for alphabet of size {k}")
+
+
+def _first_occurrence(seq: Iterable[object], start: int = 0) -> tuple[int, ...]:
+    """``seq`` relabelled ``start, start + 1, ...`` in order of first occurrence."""
+    label: dict[object, int] = {}
+    return tuple([label.setdefault(x, len(label) + start) for x in seq])
 
 
 def parse_word(text: str) -> Word:
@@ -250,8 +261,7 @@ def parse_word(text: str) -> Word:
     names = text.split(",") if "," in text else list(text)
     if any(not n for n in names):
         raise ValueError(f"malformed word {_echo(text)}: empty letter name")
-    index = {n: i for i, n in enumerate(dict.fromkeys(names))}
-    return Word(Alphabet(tuple(index)), tuple(index[n] for n in names))
+    return Word(Alphabet(tuple(dict.fromkeys(names))), _first_occurrence(names))
 
 
 def render_word(w: Word, prefer_chars: bool = True) -> str:
@@ -355,8 +365,7 @@ def restrict(w: Word, keep: Iterable[int]) -> Word:
     'abab'
     """
     keep = list(keep)
-    if not {int}.issuperset(map(type, keep)):
-        raise TypeError(f"letter ids to keep must be ints, got {_echo(keep)}")
+    _check_ints(keep, "letter ids to keep")
     ids = sorted(set(keep))
     names = w.alphabet.names
     _check_ids(ids, len(names))
@@ -492,6 +501,7 @@ def random_basis_word(
     """
     k = alphabet_size
     _check_size(k, "alphabet size")
+    _check_size(max_len, "max_len")
     hi = min(max_len, 2 * k - 1) if noncrossing else max_len
     if hi < k:
         raise ValueError(f"max_len {max_len} cannot fit a pangrammatic word on {k} letters")

@@ -175,6 +175,7 @@ SIZED = {
     "enumerate_nc_basis": (lambda v: enumerate_nc_basis(Alphabet.numeric(2), v), "max_len"),
     "peak_word": (peak_word, "n"),
     "random_basis_word": (lambda v: random_basis_word(random.Random(0), v, 3), "alphabet size"),
+    "random_basis_word-max_len": (lambda v: random_basis_word(random.Random(0), 2, v), "max_len"),
 }
 
 
@@ -192,6 +193,15 @@ def test_sizes_are_checked_under_their_own_name(call, name, size, error, message
     with pytest.raises(error) as info:
         call(size)
     assert str(info.value) == message.format(name)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("assignment", [(), (1,)])
+def test_surjection_n_is_a_size(n, assignment):
+    # Refused as a size before the assignment's length is compared with it.
+    with pytest.raises(ValueError) as info:
+        CanonicalSurjection(n, 1, assignment)
+    assert str(info.value) == "n must be >= 1"
 
 
 def cut(value):

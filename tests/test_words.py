@@ -35,6 +35,7 @@ from ncwords import (
     restrict,
 )
 from ncwords.words import _trusted
+from ncwords.words import _first_occurrence
 
 from oracles import (
     iter_all_seqs,
@@ -383,6 +384,21 @@ class TestRestrict:
                 if not w.occurring.intersection(keep):
                     continue
                 assert is_noncrossing(restrict(w, keep))
+
+
+class TestFirstOccurrence:
+    def test_numbers_from_start_in_order_of_first_occurrence(self):
+        assert _first_occurrence("cacb") == (0, 1, 0, 2)
+        assert _first_occurrence((3, 3, 1, 2, 1), start=1) == (1, 1, 2, 3, 2)
+        assert _first_occurrence(()) == ()
+
+    @given(words())
+    def test_shape_is_its_own_relabelling(self, w):
+        shape = _first_occurrence(w.seq)
+        assert _first_occurrence(shape) == shape
+        # the shape keeps exactly the equalities between positions
+        pairs = list(zip(shape, w.seq))
+        assert all((a == b) == (x == y) for a, x in pairs for b, y in pairs)
 
 
 class TestApplyMap:
