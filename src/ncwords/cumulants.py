@@ -35,6 +35,10 @@ makes a query's reads concrete, once per shape and variables for the
 whole process: each read's memo key ``(sub-shape, variables)`` in read
 order, beside the groups.  It keeps the ``_READS_SIZE`` (1024) most
 recently used queries, since variable names come from the caller.
+Beside it, ``_words`` checks and relabels each query word once per
+process: by the word's ids and alphabet size it keeps the word's shape
+and its letters' first-occurrence order for the first ``_WORDS_SIZE``
+(8192) words; a word past them is checked on every query.
 
 A :class:`CumulantTable` only executes groups, on integers: it keeps a
 scale ``D`` that every moment's denominator read so far divides, and
@@ -71,7 +75,7 @@ from typing import Iterator, Sequence
 
 from .probability import MomentFunctional
 from .surjections import _nc_search
-from .words import Word, _check_basis_word, _first_occurrence, reduce_seq, restrict_seq
+from .words import Word, _check_basis_word, _check_word, _first_occurrence, reduce_seq, restrict_seq
 
 Shape = tuple[int, ...]
 # One plan term: per block, its reduced canonical sub-shape and the
@@ -168,6 +172,37 @@ def _reads(key: Key) -> tuple[tuple[Key, ...], Groups]:
     return tuple([(sub, tuple([assign[i] for i in at])) for sub, at in reads]), groups
 
 
+# Entries in the word-query cache.  The whole non-crossing basis on at
+# most five letters, 5685 words, fits in about 1.9 MB, its keys sharing
+# the words' id tuples, so only words on six or more letters can fill
+# it; full, it keeps about 2.7 MB.
+_WORDS_SIZE = 8192
+# A query word's shape and its letters in first-occurrence order, by
+# the word's ids and alphabet size.  Full, it admits no more words: a
+# word past the bound is checked on every query, as with no cache.
+# Emptying it when full instead made a warm table about 25% slower than
+# with no cache on a stream cycling through more words than the bound,
+# as every query then allocated an entry.  The lock keeps the bound
+# when threads fill it; a full cache takes no lock.
+_words: dict[tuple[Shape, int], tuple[Shape, Shape]] = {}
+_words_lock = threading.Lock()
+
+
+def _enter_word(w: Word) -> tuple[Shape, Shape]:
+    """The shape of the query word ``w`` and its letters in order of
+    first occurrence, entered in ``_words`` if it has room.  ``w`` is
+    checked first, so the cache keeps only valid words and a refusal
+    names ``w``'s own letters; a word's validity depends only on its ids
+    and alphabet size, the key."""
+    _check_basis_word(w, noncrossing=True)
+    entry = (_first_occurrence(w.seq), tuple(dict.fromkeys(w.seq)))
+    if len(_words) < _WORDS_SIZE:
+        with _words_lock:
+            if len(_words) < _WORDS_SIZE:
+                _words[w.seq, w.alphabet.size] = entry
+    return entry
+
+
 class CumulantTable:
     """Word cumulants of one moment functional, with memoization.
 
@@ -175,8 +210,11 @@ class CumulantTable:
     order, with the variables in the same order, so structurally
     identical queries share a memo entry.  The plans, the groups and
     each query's concrete reads, a cache of the 1024 most recently used
-    queries, are shared by every table in the process; the memo of
-    values is per table.
+    queries, are shared by every table in the process, and so is the
+    word-query cache beside the reads: a word's shape and letter order,
+    checked once per process for the first 8192 words (``_WORDS_SIZE``);
+    a word past them is checked on every query.  The memo of values is
+    per table.
 
     Values are memoized as ``D^k`` times each cumulant of ``k`` letters
     (see the module docstring); ``D`` starts at 1.  A new denominator
@@ -207,16 +245,15 @@ class CumulantTable:
         in order of the letters' first occurrence in ``w``: the word
         ``ba`` with ``a -> x`` and ``b -> y`` reads ``E(y x)``.
         """
-        if not isinstance(w, Word):
-            raise TypeError(f"word_cumulant takes a Word, got {type(w).__name__}")
+        _check_word(w, "word_cumulant")
         assign = tuple(assign)
-        if len(assign) != w.alphabet.size:
+        k = w.alphabet.size
+        if len(assign) != k:
             raise ValueError(
-                f"assignment names {len(assign)} variables for an alphabet of size {w.alphabet.size}"
+                f"assignment names {len(assign)} variables for an alphabet of size {k}"
             )
-        _check_basis_word(w, noncrossing=True)
-        variables = tuple([assign[x] for x in dict.fromkeys(w.seq)])
-        return self._cumulant(_first_occurrence(w.seq), variables)
+        shape, order = _words.get((w.seq, k)) or _enter_word(w)
+        return self._cumulant(shape, tuple([assign[x] for x in order]))
 
     def _cumulant(self, shape: Shape, assign: tuple[str, ...]) -> Fraction:
         with self._lock:

@@ -24,6 +24,7 @@ Conventions used throughout the package:
   ``n``, a ``max_len``) is a plain ``int`` >= 1; ``_check_ints``, that
   letter ids and assignment values are plain ints, refusing ``bool`` as
   a likely mistake; ``_check_ids``, that letter ids are in range;
+  ``_check_word``, that a function's word argument is a :class:`Word`;
   ``_first_occurrence``, the relabelling in order of first occurrence
   (a word's shape, a canonical assignment); and ``_echo``, which cuts a
   long input short in an error message.
@@ -47,6 +48,7 @@ Text syntax: a word is written either as single-character letters
 
 from __future__ import annotations
 
+import functools
 import random
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -145,9 +147,13 @@ class Alphabet(_Frozen):
 
     @classmethod
     def numeric(cls, k: int) -> "Alphabet":
-        """The alphabet ``1, 2, ..., k`` with numeric display names."""
+        """The alphabet ``1, 2, ..., k`` with numeric display names.
+
+        Returns a shared frozen instance, one per ``k`` among the 32
+        sizes most recently asked for (``_SHARED_SIZE``).
+        """
         _check_size(k, "alphabet size")
-        return cls(tuple(str(i) for i in range(1, k + 1)))
+        return _numeric(cls, k)
 
     @property
     def size(self) -> int:
@@ -161,6 +167,19 @@ class Alphabet(_Frozen):
 
     def __repr__(self) -> str:
         return f"Alphabet({','.join(self.names)})"
+
+
+# Entries in each cache of shared frozen values, the numeric alphabets
+# and the peak words, by size: queries and enumerations ask for a few
+# small sizes again and again.
+_SHARED_SIZE = 32
+
+
+# Typed, as the enumerators' cache is, so that ``True`` is never served
+# the entry of ``1``, even if a caller skips the size check.
+@functools.lru_cache(maxsize=_SHARED_SIZE, typed=True)
+def _numeric(cls: type[Alphabet], k: int) -> Alphabet:
+    return cls(tuple(str(i) for i in range(1, k + 1)))
 
 
 class Word(_Frozen):
@@ -239,6 +258,13 @@ def _check_ids(ids: Sequence[int], k: int) -> None:
         raise ValueError(f"letter ids {_echo(ids)} out of range for alphabet of size {k}")
 
 
+def _check_word(w: object, what: str) -> None:
+    """Refuse a word argument ``w`` of the function ``what`` that is
+    not a :class:`Word`."""
+    if not isinstance(w, Word):
+        raise TypeError(f"{what} takes a Word, got {type(w).__name__}")
+
+
 def _first_occurrence(seq: Iterable[object], start: int = 0) -> tuple[int, ...]:
     """``seq`` relabelled ``start, start + 1, ...`` in order of first occurrence."""
     label: dict[object, int] = {}
@@ -271,6 +297,7 @@ def render_word(w: Word, prefer_chars: bool = True) -> str:
     and every letter name is a single character; otherwise letters are
     comma-separated.
     """
+    _check_word(w, "render_word")
     names = [w.alphabet.names[i] for i in w.seq]
     if prefer_chars and all(len(n) == 1 for n in names):
         return "".join(names)
@@ -351,6 +378,7 @@ def reduce_word(w: Word) -> Word:
     >>> str(reduce_word(parse_word("abba")))
     'ab'
     """
+    _check_word(w, "reduce_word")
     return Word(w.alphabet, reduce_seq(w.seq))
 
 
@@ -410,6 +438,7 @@ def apply_map(
     ``mapping`` sends source letter ids to target letter ids and must be
     total on the word's alphabet.  The image has the same length.
     """
+    _check_word(w, "apply_map")
     get = mapping.__getitem__ if isinstance(mapping, Mapping) else mapping
     try:
         seq = tuple(get(x) for x in w.seq)
@@ -478,10 +507,17 @@ def peak_word(n: int) -> Word:
     '1232'
     >>> str(peak_word(1)), str(peak_word(2))
     ('1', '12')
+
+    Returns a shared frozen instance on ``Alphabet.numeric(n)``, one
+    per ``n`` among the 32 most recently asked for (``_SHARED_SIZE``).
     """
     _check_size(n, "n")
-    seq = tuple(range(n)) + tuple(range(n - 2, 0, -1))
-    return Word(Alphabet.numeric(n), seq)
+    return _peak_word(n)
+
+
+@functools.lru_cache(maxsize=_SHARED_SIZE, typed=True)
+def _peak_word(n: int) -> Word:
+    return Word(Alphabet.numeric(n), tuple(range(n)) + tuple(range(n - 2, 0, -1)))
 
 
 _DRAWS = 100_000

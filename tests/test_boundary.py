@@ -20,6 +20,7 @@ from ncwords import (
     CumulantTable,
     EmptyRestrictionError,
     Word,
+    apply_map,
     enumerate_canonical_surjections,
     enumerate_nc_basis,
     enumerate_nc_partitions,
@@ -30,6 +31,8 @@ from ncwords import (
     parse_word,
     peak_word,
     random_basis_word,
+    reduce_word,
+    render_word,
     restrict,
     semicircular_family,
     word_cumulant,
@@ -158,6 +161,18 @@ class TestBoundary:
                 assert enumerate_ is enumerate_word_basis or is_noncrossing(w)
 
     @FUZZ
+    @given(st.one_of(values, st.sampled_from(["a", "abba", "a1,a2"]).map(parse_word)))
+    @pytest.mark.parametrize(
+        "call",
+        [render_word, reduce_word, lambda w: apply_map(w, {0: 0, 1: 0}, Alphabet.numeric(1))],
+        ids=["render_word", "reduce_word", "apply_map"],
+    )
+    def test_word_functions(self, call, w):
+        result = outcome(call, w)
+        if not isinstance(result, Exception):
+            assert isinstance(w, Word)
+
+    @FUZZ
     @given(values)
     def test_peak_word(self, n):
         result = outcome(peak_word, n)
@@ -202,6 +217,22 @@ def test_surjection_n_is_a_size(n, assignment):
     with pytest.raises(ValueError) as info:
         CanonicalSurjection(n, 1, assignment)
     assert str(info.value) == "n must be >= 1"
+
+
+# Each function that takes a word, called with text instead.
+NOT_WORDS = {
+    "render_word": lambda: render_word("ab"),
+    "reduce_word": lambda: reduce_word("ab"),
+    "apply_map": lambda: apply_map("ab", {0: 0}, Alphabet.numeric(1)),
+    "word_cumulant": lambda: word_cumulant(semicircular_family([1], names=("v",)), "ab", "vv"),
+}
+
+
+@pytest.mark.parametrize("name, call", NOT_WORDS.items(), ids=NOT_WORDS)
+def test_word_arguments_must_be_words(name, call):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == f"{name} takes a Word, got str"
 
 
 def cut(value):

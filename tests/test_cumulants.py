@@ -9,6 +9,7 @@ are compared with.
 import itertools
 import random
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -34,11 +35,12 @@ from ncwords import (
     moments_from_free_cumulants,
     parse_word,
     peak_word,
+    render_word,
     semicircular_family,
     word_cumulant,
 )
 
-from ncwords.cumulants import _groups, _plan, _reads
+from ncwords.cumulants import _groups, _plan, _reads, _words
 
 from oracles import (
     fraction_classical_cumulant,
@@ -91,21 +93,23 @@ class TestWordCumulant:
             free_cumulant(E, ())
 
     @pytest.mark.parametrize(
-        "w, error, message",
+        "make_word, error, message",
         [
-            (parse_word("abab"), CrossingWordError, "word 'abab' is crossing"),
-            (parse_word("aa"), ValueError, "word 'aa' is not reduced"),
+            (lambda: parse_word("abab"), CrossingWordError, "word 'abab' is crossing"),
+            (lambda: parse_word("aa"), ValueError, "word 'aa' is not reduced"),
             (
-                Word(Alphabet.numeric(2), (0,)),
+                lambda: Word(Alphabet.numeric(2), (0,)),
                 ValueError,
                 "word '1' does not use every alphabet letter",
             ),
         ],
         ids=["crossing", "not_reduced", "not_pangrammatic"],
     )
-    def test_one_validation_route(self, w, error, message):
+    def test_one_validation_route(self, make_word, error, message):
         # the cumulant, the non-crossing decomposition and the
-        # non-crossing coassociativity check reject a word alike
+        # non-crossing coassociativity check reject a word alike; the
+        # word is built here, so a constructor fault fails this test only
+        w = make_word()
         E = single_table(1, 1)
         for call in (
             lambda: word_cumulant(E, w, ("v",) * w.alphabet.size),
@@ -167,6 +171,100 @@ class TestWordCumulant:
         again = [table.word_cumulant(w, assign) for w, assign in queries]
         fresh = [word_cumulant(E, w, assign) for w, assign in queries]
         assert first == again == fresh
+
+
+class TestWordQueryCache:
+    # word_cumulant checks and relabels each word once per process, by
+    # its ids and alphabet size (cumulants._words); a refusal is not kept
+    @pytest.mark.parametrize(
+        "valid, seq, names, message",
+        [
+            ((0, 1), (0, 1, 0, 1), (("a", "b"), ("x", "y")), "word '{}' is crossing"),
+            ((0, 1), (0, 1, 1), (("a", "b"), ("x", "y")), "word '{}' is not reduced"),
+            # the valid word has the same ids on one letter
+            ((0,), (0,), (("a", "b"), ("x", "y")), "word '{}' does not use every alphabet letter"),
+        ],
+        ids=["crossing", "not_reduced", "not_pangrammatic"],
+    )
+    @pytest.mark.parametrize("valid_first", [True, False], ids=["valid_first", "invalid_first"])
+    def test_refusals_name_the_callers_letters(self, valid, seq, names, message, valid_first):
+        E = semicircular_family([1], names=("v",))
+        table = CumulantTable(E)
+        good = Word(Alphabet.numeric(max(valid) + 1), valid)
+
+        def query_valid():
+            assert table.word_cumulant(good, ("v",) * good.alphabet.size) == free_cumulant(
+                E, ("v",) * good.alphabet.size
+            )
+
+        def refuse(letters):
+            w = Word(Alphabet(letters), seq)
+            with pytest.raises(ValueError) as info:
+                table.word_cumulant(w, ("v",) * len(letters))
+            assert str(info.value) == message.format(render_word(w))
+            assert (seq, len(letters)) not in _words
+
+        steps = [query_valid] + [lambda letters=letters: refuse(letters) for letters in names]
+        for step in steps if valid_first else steps[::-1]:
+            step()
+        steps[0]()
+
+    def test_letter_names_do_not_change_the_value(self):
+        rng = random.Random(21)
+        E = two_var_table(rng, 4)
+        for k in range(1, 5):
+            named = Alphabet(tuple("xyzw"[:k]))
+            for w in enumerate_nc_basis(Alphabet.numeric(k)):
+                assign = tuple(rng.choice(("a", "b")) for _ in range(k))
+                first = CumulantTable(E).word_cumulant(Word(named, w.seq), assign)
+                assert CumulantTable(E).word_cumulant(w, assign) == first, w
+
+    def test_a_sweep_past_the_bound_keeps_the_bound(self, monkeypatch):
+        monkeypatch.setattr("ncwords.cumulants._WORDS_SIZE", 8)
+        _words.clear()
+        words = [w for k in range(1, 4) for w in enumerate_nc_basis(Alphabet.numeric(k))]
+        assert len(words) > 8
+        E = semicircular_family([1], names=("v",))
+        table = CumulantTable(E)
+        for w in words * 2:
+            value = table.word_cumulant(w, ("v",) * w.alphabet.size)
+            assert len(_words) <= 8
+            assert value == CumulantTable(E).word_cumulant(w, ("v",) * w.alphabet.size)
+        # full, it keeps the first words and checks the others each time
+        assert set(_words) == {(w.seq, w.alphabet.size) for w in words[:8]}
+        with pytest.raises(CrossingWordError):
+            table.word_cumulant(parse_word("abab"), ("v", "v"))
+
+    def test_concurrent_fills_keep_the_bound(self, monkeypatch):
+        # more threads than CPUs fill a small empty cache at once, round
+        # after round; a lost update of the bound would leave it over-full
+        monkeypatch.setattr("ncwords.cumulants._WORDS_SIZE", 8)
+        words = [w for k in range(1, 4) for w in enumerate_nc_basis(Alphabet.numeric(k))]
+        E = two_var_table(random.Random(22), 3)
+        assign = [("a", "b", "a")[: w.alphabet.size] for w in words]
+        expected = [CumulantTable(E).word_cumulant(w, a) for w, a in zip(words, assign)]
+        workers = 6
+        start = threading.Barrier(workers)
+
+        def run(first):
+            start.wait(timeout=60)
+            table = CumulantTable(E)
+            order = list(range(first, len(words))) + list(range(first))
+            return {i: table.word_cumulant(words[i], assign[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for _ in range(200):
+                    _words.clear()
+                    futures = [pool.submit(run, w * len(words) // workers) for w in range(workers)]
+                    results = [f.result(timeout=120) for f in futures]
+                    assert len(_words) == 8
+                    for got in results:
+                        assert [got[i] for i in range(len(words))] == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFreeAgainstDirect:

@@ -145,21 +145,27 @@ class TestWord:
 class TestValueTypes:
     # The four value types share the frozen base of ncwords.words; each is
     # built through its constructor, by keyword, and through _trusted, as
-    # the searches and the decompositions build them.
+    # the searches and the decompositions build them.  The fields come
+    # from a factory called in the test, so that a fault in a constructor
+    # fails the tests that reach it instead of collecting the file.
     @pytest.mark.parametrize(
         "build", [lambda cls, **f: cls(**f), _trusted], ids=["public", "trusted"]
     )
     @pytest.mark.parametrize(
-        "cls, fields",
+        "cls, make_fields",
         [
-            pytest.param(Alphabet, {"names": ("a", "b")}, id="Alphabet"),
-            pytest.param(Word, {"alphabet": Alphabet(("a", "b")), "seq": (0, 1, 0)}, id="Word"),
+            pytest.param(Alphabet, lambda: {"names": ("a", "b")}, id="Alphabet"),
             pytest.param(
-                CanonicalSurjection, {"n": 3, "m": 2, "assignment": (1, 2, 2)}, id="Surjection"
+                Word, lambda: {"alphabet": Alphabet(("a", "b")), "seq": (0, 1, 0)}, id="Word"
+            ),
+            pytest.param(
+                CanonicalSurjection,
+                lambda: {"n": 3, "m": 2, "assignment": (1, 2, 2)},
+                id="Surjection",
             ),
             pytest.param(
                 DecompositionTerm,
-                {
+                lambda: {
                     "surjection": CanonicalSurjection(2, 2, (1, 2)),
                     "outer": Word(Alphabet(("b1", "b2")), (0, 1)),
                     "inner": (parse_word("a"), parse_word("b")),
@@ -168,7 +174,9 @@ class TestValueTypes:
             ),
         ],
     )
-    def test_frozen_copyable_picklable(self, build, cls, fields):
+    def test_frozen_copyable_picklable(self, build, cls, make_fields):
+        fields = make_fields()
+
         def read(obj):
             # the fields, through the slots that hold them
             return {name: getattr(obj, name) for name in cls.__slots__}
@@ -189,12 +197,13 @@ class TestValueTypes:
             assert read(twin) == fields and repr(twin) == repr(obj)
 
 
-# One value of each type with its pickle (protocol 4) as the earlier
-# layout, which kept the fields in each instance's __dict__, wrote it.
+# One value of each type, as a factory of its fields, with its pickle
+# (protocol 4) as the earlier layout, which kept the fields in each
+# instance's __dict__, wrote it.
 EARLIER_PICKLES = [
     pytest.param(
         Alphabet,
-        {"names": ("x", "y")},
+        lambda: {"names": ("x", "y")},
         (
             b"\x80\x04\x957\x00\x00\x00\x00\x00\x00\x00\x8c\rncwords.words\x94\x8c\x08Alph"
             b"abet\x94\x93\x94)\x81\x94}\x94\x8c\x05names\x94\x8c\x01x\x94\x8c\x01y\x94"
@@ -204,7 +213,7 @@ EARLIER_PICKLES = [
     ),
     pytest.param(
         Word,
-        {"alphabet": Alphabet(("a", "b", "c")), "seq": (0, 1, 2, 1)},
+        lambda: {"alphabet": Alphabet(("a", "b", "c")), "seq": (0, 1, 2, 1)},
         (
             b"\x80\x04\x95j\x00\x00\x00\x00\x00\x00\x00\x8c\rncwords.words\x94\x8c\x04Word"
             b"\x94\x93\x94)\x81\x94}\x94(\x8c\x08alphabet\x94h\x00\x8c\x08Alphabet\x94\x93"
@@ -215,7 +224,7 @@ EARLIER_PICKLES = [
     ),
     pytest.param(
         CanonicalSurjection,
-        {"n": 3, "m": 2, "assignment": (1, 2, 1)},
+        lambda: {"n": 3, "m": 2, "assignment": (1, 2, 1)},
         (
             b"\x80\x04\x95X\x00\x00\x00\x00\x00\x00\x00\x8c\x13ncwords.surjections\x94\x8c"
             b"\x13CanonicalSurjection\x94\x93\x94)\x81\x94}\x94(\x8c\x01n\x94K\x03\x8c\x01"
@@ -225,7 +234,7 @@ EARLIER_PICKLES = [
     ),
     pytest.param(
         DecompositionTerm,
-        {
+        lambda: {
             "surjection": CanonicalSurjection(2, 1, (1, 1)),
             "outer": Word(Alphabet(("b12",)), (0,)),
             "inner": (Word(Alphabet(("a", "b")), (0, 1)),),
@@ -247,24 +256,25 @@ EARLIER_PICKLES = [
 
 
 class TestSlots:
-    @pytest.mark.parametrize("cls, fields, pickled", EARLIER_PICKLES)
-    def test_no_dict_either_way(self, cls, fields, pickled):
+    @pytest.mark.parametrize("cls, make_fields, pickled", EARLIER_PICKLES)
+    def test_no_dict_either_way(self, cls, make_fields, pickled):
+        fields = make_fields()
         public, trusted = cls(**fields), _trusted(cls, **fields)
         assert not hasattr(public, "__dict__") and not hasattr(trusted, "__dict__")
         assert sys.getsizeof(public) == sys.getsizeof(trusted)
 
-    @pytest.mark.parametrize("cls, fields, pickled", EARLIER_PICKLES)
-    def test_earlier_pickles_load(self, cls, fields, pickled):
-        fresh = cls(**fields)
+    @pytest.mark.parametrize("cls, make_fields, pickled", EARLIER_PICKLES)
+    def test_earlier_pickles_load(self, cls, make_fields, pickled):
+        fresh = cls(**make_fields())
         loaded = pickle.loads(pickled)
         assert type(loaded) is cls and loaded == fresh and repr(loaded) == repr(fresh)
         assert not hasattr(loaded, "__dict__")
         # the same bytes both ways: the earlier layout loads what this one writes
         assert pickle.dumps(fresh, 4) == pickled
 
-    @pytest.mark.parametrize("cls, fields, pickled", EARLIER_PICKLES)
-    def test_every_pickle_protocol(self, cls, fields, pickled):
-        fresh = cls(**fields)
+    @pytest.mark.parametrize("cls, make_fields, pickled", EARLIER_PICKLES)
+    def test_every_pickle_protocol(self, cls, make_fields, pickled):
+        fresh = cls(**make_fields())
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             loaded = pickle.loads(pickle.dumps(fresh, protocol))
             assert loaded == fresh and repr(loaded) == repr(fresh)
@@ -511,6 +521,35 @@ class TestDistinguishedWords:
                 assert is_reduced(w)
                 assert is_pangrammatic(w)
                 assert is_noncrossing(w)
+
+
+class TestSharedInstances:
+    # peak_word and Alphabet.numeric hand out one frozen instance per size
+    def test_one_instance_per_size(self):
+        for n in range(1, 9):
+            assert peak_word(n) is peak_word(n)
+            assert Alphabet.numeric(n) is Alphabet.numeric(n)
+            assert peak_word(n).alphabet is Alphabet.numeric(n)
+
+    @pytest.mark.parametrize(
+        "make, name", [(peak_word, "n"), (Alphabet.numeric, "alphabet size")], ids=["peak", "numeric"]
+    )
+    @pytest.mark.parametrize(
+        "size, error, message",
+        [
+            (True, TypeError, "{} must be an int, got True"),
+            (0, ValueError, "{} must be >= 1"),
+            (2.0, TypeError, "{} must be an int, got 2.0"),
+        ],
+        ids=["bool", "zero", "float"],
+    )
+    def test_refusals_are_not_cached(self, make, name, size, error, message):
+        # the sizes that True and 2.0 equal are cached first
+        make(1), make(2)
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                make(size)
+            assert str(info.value) == message.format(name)
 
 
 class TestRandomBasisWord:
