@@ -55,6 +55,7 @@ from .words import (
     Word,
     _Frozen,
     _check_basis_word,
+    _check_word,
     _trusted,
     is_noncrossing,
     is_noncrossing_seq,
@@ -143,6 +144,7 @@ def _term(seq: Seq, f: Seq) -> tuple[Seq, Pairs]:
 
 def decompose_along(w: Word, f: CanonicalSurjection) -> DecompositionTerm:
     """The decomposition term of ``w`` along one canonical surjection."""
+    _check_word(w, "decompose_along")
     if f.n != w.alphabet.size:
         raise ValueError(f"surjection domain [{f.n}] does not match alphabet size {w.alphabet.size}")
     if not is_pangrammatic(w):
@@ -209,6 +211,8 @@ def crossing_ideal_witness(term: DecompositionTerm) -> bool:
 
 def format_term(term: DecompositionTerm, prefer_chars: bool = True) -> str:
     """Render a term as ``f={1,3}{2} | outer=... | inner=[...; ...]``."""
+    if not isinstance(term, DecompositionTerm):
+        raise TypeError(f"format_term takes a DecompositionTerm, got {type(term).__name__}")
     inner = "; ".join(render_word(iw, prefer_chars) for iw in term.inner)
     return (
         f"f={term.surjection.block_notation()}"

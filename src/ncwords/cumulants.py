@@ -13,41 +13,29 @@ the triangular system
 where ``v_i`` is the variable assigned to the ``i``-th letter of ``w``
 in order of first occurrence.
 
-The constant surjection always survives the image filter and contributes
-the cumulant of ``w`` itself, so the system solves by recursion on the
-alphabet size, every block being strictly smaller.
+Moebius inversion on the non-crossing partitions solves it (Nica and
+Speicher, *Lectures on the Combinatorics of Free Probability*, 2006):
+the cumulant is the sum over the same surjections of ``mu(f)`` times the
+product over blocks ``B`` of the moment ``E(v_B)``.  ``mu(f)`` is the
+Moebius function of NC(|w|) from the partition of the positions by block
+of ``f(w)`` to the one-block partition, a product of signed Catalan
+numbers over its Kreweras complement's blocks.
 
-The recursion runs in three steps.  Its combinatorics, which surjections
-survive and which reduced sub-word and variables each block reads,
-depend only on the word's shape: its id sequence relabelled in first
-occurrence order.  ``_plan`` builds that once per shape, for the whole
-process, in one pass of the position-scan search behind
-:func:`~ncwords.surjections.nc_image_assignments`, which hands over each
-block's letters as a bit set; the plan keeps one shared entry per block,
-its sub-shape from ``restrict_seq`` and ``reduce_seq``.  ``_groups``
-then merges, per shape and pattern of the variables (their
-first-occurrence relabelling), the terms whose blocks read the same
-multiset of sub-shapes and variables: they have the same product, so
-one entry with an integer multiplicity stands for all of them.  For one
-variable and the ascending word the groups are the block types of the
-non-crossing partitions, counted by Kreweras's formula.  ``_reads``
-makes a query's reads concrete, once per shape and variables for the
-whole process: each read's memo key ``(sub-shape, variables)`` in read
-order, beside the groups.  It keeps the ``_READS_SIZE`` (1024) most
-recently used queries, since variable names come from the caller.
-Beside it, ``_words`` checks and relabels each query word once per
-process: by the word's ids and alphabet size it keeps the word's shape
-and its letters' first-occurrence order for the first ``_WORDS_SIZE``
-(8192) words; a word past them is checked on every query.
+The sum depends only on the word's shape, its ids relabelled in first
+occurrence order, and on the variables' pattern, their own such
+relabelling.  ``_plan`` lists the surjections once per shape, with each
+block's sub-shape and each term's ``mu``, in one pass of the search
+behind :func:`~ncwords.surjections.nc_image_assignments`.  ``_groups``
+merges, per shape and pattern, the terms whose blocks read the same
+sub-shapes and variables, summing their ``mu``; ``_polynomial`` makes
+them an integer polynomial in moments listed in the order in which the
+system, solved by recursion, requests them (``_order``), so that a table
+reports the same first missing moment.  ``_compiled`` names them by a
+query's variables, for the 1024 most recent queries; the rest is kept.
 
-A :class:`CumulantTable` only executes groups, on integers: it keeps a
-scale ``D`` that every moment's denominator read so far divides, and
-memoizes ``D^k`` times each cumulant of ``k`` letters.  Block sizes add
-up to ``k``, so ``D^k K = D^k E - sum of mult * prod D^|B| K(B)`` stays
-integral, the integer-preserving idea of Bareiss (Math. Comp. 22, 1968)
-applied to a triangular system.  A shape's reads are resolved once each
-into a list of ints, which its groups multiply by index.  Each public
-call builds one ``Fraction``.
+A :class:`CumulantTable` reads each moment once and evaluates a query on
+integers: ``D^k`` times a cumulant of ``k`` letters is the sum of
+``c * prod D^|B| E(v_B)``, ``D`` the lcm of the moments' denominators.
 
 Specializing the word recovers the classical families:
 
@@ -61,7 +49,7 @@ closed recursions on the block holding the first element.  The last
 two run on integers scaled by a power of the lcm of their inputs'
 denominators; ``boolean_cumulant`` and ``free_cumulant_direct`` stay on
 ``Fraction`` values, as the oracles of the peak-word and free routes.
-None of them shares logic with the word recursion, which is what makes
+None of them shares logic with the word cumulants, which is what makes
 the agreement tests meaningful.
 """
 
@@ -79,33 +67,38 @@ from .words import Word, _check_basis_word, _check_word, _first_occurrence, redu
 
 Shape = tuple[int, ...]
 # One plan term: per block, its reduced canonical sub-shape and the
-# positions of the planned shape's variables that the sub-shape's
-# letters read.
+# positions of the shape's variables that the sub-shape's letters read.
 Block = tuple[Shape, tuple[int, ...]]
 Term = tuple[Block, ...]
 # Per group of equal-product terms: its multiplicity and its reads' numbers.
 Groups = tuple[tuple[int, tuple[int, ...]], ...]
-# A query, and the memo key of its value: a shape and its variables.
+# A query: a shape and its variables.
 Key = tuple[Shape, tuple[str, ...]]
+# Moments in request order, and per monomial its coefficient and moments.
+Polynomial = tuple[tuple[tuple, ...], tuple[tuple[int, tuple[int, ...]], ...]]
+
+
+class _Weighted(tuple):
+    """Plan terms or groups, ``mobius[i]`` the Moebius coefficient of entry ``i``."""
 
 
 @functools.cache
-def _plan(shape: Shape) -> tuple[Term, ...]:
-    """The non-constant terms of the recursion for a first-occurrence
+def _plan(shape: Shape) -> _Weighted:
+    """The non-constant terms of the sum for a first-occurrence
     canonical shape, in the order of
-    :func:`~ncwords.surjections.enumerate_canonical_surjections`.  The
-    order fixes which moments are requested first, hence which missing
-    moment a table reports.
-
-    Cached for the life of the process; ``_plan.cache_info()`` counts
-    the shapes planned (misses) and the plans reused (hits).
+    :func:`~ncwords.surjections.enumerate_canonical_surjections`, with
+    their ``mu`` as ``mobius``.  The order fixes which moments are
+    requested first, hence which missing moment a table reports.
     """
     k = max(shape) + 1
     # A block recurs across many terms; one shared entry per block, by
     # its bit set of letters, keeps plans small.
     by_block: dict[int, tuple[Shape, tuple[int, ...]]] = {}
+    # Each term's mu, by number of blocks, as the search orders terms.
+    mobius: list[list[int]] = [[] for _ in range(k)]
 
-    def term(f: list[int], masks: list[int]) -> Term:
+    def term(f: list[int], masks: list[int], mu: int) -> Term:
+        mobius[len(masks) - 1].append(mu)
         entries = []
         for mask in masks:
             entry = by_block.get(mask)
@@ -119,26 +112,26 @@ def _plan(shape: Shape) -> tuple[Term, ...]:
 
     # The search numbers a canonical shape's blocks canonically and puts
     # the constant surjection first.
-    return tuple(_nc_search(shape, k, term)[1:])
+    plan = _Weighted(_nc_search(shape, k, term)[1:])
+    plan.mobius = tuple([mu for by_size in mobius for mu in by_size][1:])
+    return plan
 
 
 @functools.cache
-def _groups(shape: Shape, pattern: Shape) -> tuple[Term, Groups]:
+def _groups(shape: Shape, pattern: Shape) -> tuple[tuple[Block, ...], Groups]:
     """``_plan(shape)`` with equal-product terms merged, for variables
     whose first-occurrence relabelling is ``pattern``: terms whose
-    blocks read the same multiset of sub-shapes and variables.
-
-    Returns the distinct reads, as blocks ``(sub-shape, positions)`` in
-    order of first appearance, and per group, in first-term order, its
-    multiplicity and its reads' sorted numbers.  A term's reads all
-    appear in its group's first term, so resolving the reads in number
-    order requests moments in the plan's order.  Cached per process.
-    """
+    blocks read the same multiset of sub-shapes and variables.  Returns
+    the distinct reads, as blocks ``(sub-shape, positions)`` in order of
+    first appearance, and per group, in first-term order, its
+    multiplicity and its reads' sorted numbers, with its sum of ``mu``
+    in ``mobius``."""
     # Each read, (sub-shape, variables), maps to its number and block.
     reads: dict[Block, tuple[int, Block]] = {}
     read_of: dict[tuple[int, ...], int] = {}
     groups: dict[tuple[int, ...], list[int]] = {}
-    for term in _plan(shape):
+    plan = _plan(shape)
+    for term, mu in zip(plan, plan.mobius):
         ids = []
         for sub, at in term:
             r = read_of.get(at)
@@ -147,43 +140,62 @@ def _groups(shape: Shape, pattern: Shape) -> tuple[Term, Groups]:
                 r = read_of[at] = reads.setdefault(read, (len(reads), (sub, at)))[0]
             ids.append(r)
         ids.sort()
-        groups.setdefault(tuple(ids), [0])[0] += 1
-    blocks = tuple([block for _, block in reads.values()])
-    return blocks, tuple([(mult, ids) for ids, (mult,) in groups.items()])
+        group = groups.setdefault(tuple(ids), [0, 0])
+        group[0] += 1
+        group[1] += mu
+    merged = _Weighted([(mult, ids) for ids, (mult, _) in groups.items()])
+    merged.mobius = tuple([mu for _, mu in groups.values()])
+    return tuple([block for _, block in reads.values()]), merged
 
 
-# Entries in the per-key read cache.  The free and peak-word cumulants
-# of every argument tuple on two variables to order 6 reach 246 keys,
-# which it holds four times over; on three variables to order 6 they
-# reach 2172, and the bound keeps those to about 3 MB.
-_READS_SIZE = 1024
+@functools.cache
+def _order(shape: Shape, vs: tuple) -> tuple[tuple, ...]:
+    """The moments of ``shape`` on the variables ``vs`` in the order in
+    which the system, solved by recursion, requests them: its own, then
+    depth first through each of its reads, each moment once."""
+    found = [vs]
+    for sub, at in _groups(shape, _first_occurrence(vs))[0]:
+        found += _order(sub, tuple([vs[i] for i in at]))
+    return tuple(dict.fromkeys(found))
 
 
-@functools.lru_cache(maxsize=_READS_SIZE)
-def _reads(key: Key) -> tuple[tuple[Key, ...], Groups]:
-    """The reads and groups of ``key = (shape, variables)``: ``_groups``
-    for the pattern of the variables, with each read made concrete as
-    the memo key ``(sub-shape, variables)`` of its value, in read-number
-    order.  Neither depends on the moments, so every table shares them.
-    Keeps the ``_READS_SIZE`` most recently used keys; a new key whose
-    pattern is known costs one relabelling and no walk of the plan."""
+@functools.cache
+def _polynomial(shape: Shape, pattern: Shape) -> Polynomial:
+    """The cumulant of ``shape`` on variables with first-occurrence
+    relabelling ``pattern`` as a polynomial in its ``_order`` moments:
+    its own moment, and a monomial per group whose ``mu`` sum is not 0."""
+    moments = _order(shape, pattern)
+    number = {m: i for i, m in enumerate(moments)}
+    reads, groups = _groups(shape, pattern)
+    moment = [number[tuple([pattern[i] for i in at])] for _, at in reads]
+    poly = [(mu, tuple([moment[r] for r in ids])) for mu, (_, ids) in zip(groups.mobius, groups) if mu]
+    return moments, ((1, (0,)), *poly)
+
+
+_COMPILED_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_COMPILED_SIZE)
+def _compiled(key: Key) -> Polynomial:
+    """``_polynomial`` of ``key = (shape, variables)``, its moments
+    named by the variables."""
     shape, assign = key
-    reads, groups = _groups(shape, _first_occurrence(assign))
-    return tuple([(sub, tuple([assign[i] for i in at])) for sub, at in reads]), groups
+    moments, poly = _polynomial(shape, _first_occurrence(assign))
+    names = tuple(dict.fromkeys(assign))
+    return tuple([tuple(map(names.__getitem__, m)) for m in moments]), poly
 
 
-# Entries in the word-query cache.  The whole non-crossing basis on at
-# most five letters, 5685 words, fits in about 1.9 MB, its keys sharing
-# the words' id tuples, so only words on six or more letters can fill
-# it; full, it keeps about 2.7 MB.
+# Entries in the word-query cache, which checks and relabels each query
+# word once.  The non-crossing basis on at most five letters, 5685 words,
+# fits in about 1.9 MB, so only longer words can fill it; full, it keeps
+# about 2.7 MB and admits no more words: a word past the bound is checked
+# on every query.  Emptying it when full instead made a warm table about
+# 25% slower than no cache on a stream cycling through more words, as
+# every query then allocated an entry.  The lock keeps the bound when
+# threads fill it; a full cache takes no lock.
 _WORDS_SIZE = 8192
 # A query word's shape and its letters in first-occurrence order, by
-# the word's ids and alphabet size.  Full, it admits no more words: a
-# word past the bound is checked on every query, as with no cache.
-# Emptying it when full instead made a warm table about 25% slower than
-# with no cache on a stream cycling through more words than the bound,
-# as every query then allocated an entry.  The lock keeps the bound
-# when threads fill it; a full cache takes no lock.
+# the word's ids and alphabet size.
 _words: dict[tuple[Shape, int], tuple[Shape, Shape]] = {}
 _words_lock = threading.Lock()
 
@@ -191,9 +203,8 @@ _words_lock = threading.Lock()
 def _enter_word(w: Word) -> tuple[Shape, Shape]:
     """The shape of the query word ``w`` and its letters in order of
     first occurrence, entered in ``_words`` if it has room.  ``w`` is
-    checked first, so the cache keeps only valid words and a refusal
-    names ``w``'s own letters; a word's validity depends only on its ids
-    and alphabet size, the key."""
+    checked first, so the cache keeps only valid words, by the ids and
+    alphabet size that their validity depends on."""
     _check_basis_word(w, noncrossing=True)
     entry = (_first_occurrence(w.seq), tuple(dict.fromkeys(w.seq)))
     if len(_words) < _WORDS_SIZE:
@@ -204,46 +215,29 @@ def _enter_word(w: Word) -> tuple[Shape, Shape]:
 
 
 class CumulantTable:
-    """Word cumulants of one moment functional, with memoization.
+    """Word cumulants of one moment functional.
 
     Each query is relabelled to its shape, the word in first occurrence
-    order, with the variables in the same order, so structurally
-    identical queries share a memo entry.  The plans, the groups and
-    each query's concrete reads, a cache of the 1024 most recently used
-    queries, are shared by every table in the process, and so is the
-    word-query cache beside the reads: a word's shape and letter order,
-    checked once per process for the first 8192 words (``_WORDS_SIZE``);
-    a word past them is checked on every query.  The memo of values is
-    per table.
-
-    Values are memoized as ``D^k`` times each cumulant of ``k`` letters
-    (see the module docstring); ``D`` starts at 1.  A new denominator
-    grows ``D`` in place to the least common multiple, each entry
-    multiplied by the ratio to the power of its letter count.  A pass
-    resolves a shape's reads, in number order; if ``D`` grew meanwhile,
-    the reads are memoized by then and are looked up again, once.
-    Moments are kept per table by their variables, so a monomial that
-    several shapes read, such as an ascending and a peak word on the
-    same variables, is read once; each public call builds one
-    ``Fraction``.  A re-entrant lock makes every public query atomic:
-    threads may share a table, and a moment rule may query the table it
-    feeds without blocking itself.
+    order, with the variables in the same order, and evaluated as its
+    polynomial from ``_compiled``, which every table shares (see the
+    module docstring).  A table keeps the moments it has read as integer
+    pairs, by their variables, so each is read once, in request order.
+    A re-entrant lock makes the reads atomic: threads may share a table,
+    and a moment rule may query the table it feeds without blocking.
     """
 
     def __init__(self, E: MomentFunctional) -> None:
         self.E = E
-        self._scale = 1
-        self._memo: dict[Key, int] = {}
-        self._moments: dict[tuple[str, ...], Fraction] = {}
+        self._moments: dict[tuple[str, ...], tuple[int, int]] = {}
         self._lock = threading.RLock()
 
     def word_cumulant(self, w: Word, assign: Sequence[str]) -> Fraction:
         """The cumulant of a reduced pangrammatic non-crossing word.
 
         ``assign[i]`` names the variable of letter id ``i``.  The moment
-        the recursion reads for ``w`` takes each letter's variable once,
-        in order of the letters' first occurrence in ``w``: the word
-        ``ba`` with ``a -> x`` and ``b -> y`` reads ``E(y x)``.
+        of ``w`` itself takes each letter's variable once, in order of
+        the letters' first occurrence in ``w``: the word ``ba`` with
+        ``a -> x`` and ``b -> y`` reads ``E(y x)``.
         """
         _check_word(w, "word_cumulant")
         assign = tuple(assign)
@@ -256,41 +250,23 @@ class CumulantTable:
         return self._cumulant(shape, tuple([assign[x] for x in order]))
 
     def _cumulant(self, shape: Shape, assign: tuple[str, ...]) -> Fraction:
+        moments, poly = _compiled((shape, assign))
         with self._lock:
-            return Fraction(self._value((shape, assign)), self._scale ** len(assign))
-
-    def _value(self, key: Key) -> int:
-        """``scale^k`` times the cumulant of ``key = (shape, variables)``,
-        at the scale the table has on return."""
-        memo = self._memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        assign = key[1]
-        m = self._moments.get(assign)
-        if m is None:
-            m = self._moments[assign] = self.E.expect(assign)
-        if self._scale % m.denominator:
-            scale = lcm(self._scale, m.denominator)
-            ratio = scale // self._scale
-            for done in memo:
-                memo[done] *= ratio ** len(done[1])
-            self._scale = scale
-        blocks, groups = _reads(key)
-        scale = self._scale
-        # A memoized 0 falls through to _value, which returns it.
-        values = [memo.get(block) or self._value(block) for block in blocks]
-        if scale != self._scale:
-            # The scale grew; every read is memoized now, at that scale.
-            scale = self._scale
-            values = [memo[block] for block in blocks]
-        total = scale ** len(assign) // m.denominator * m.numerator
-        for mult, ids in groups:
-            for r in ids:
-                mult *= values[r]
-            total -= mult
-        memo[key] = total
-        return total
+            known = self._moments
+            values = []
+            for m in moments:
+                value = known.get(m)
+                if value is None:
+                    value = known[m] = self.E.expect(m).as_integer_ratio()
+                values.append(value)
+        d = lcm(*[q for _, q in values])
+        scaled = [d ** len(m) // q * p for m, (p, q) in zip(moments, values)]
+        total = 0
+        for c, ids in poly:
+            for i in ids:
+                c *= scaled[i]
+            total += c
+        return Fraction(total, d ** len(assign))
 
     def free_cumulant(self, variables: Sequence[str]) -> Fraction:
         """The free cumulant, via the ascending word."""

@@ -17,6 +17,7 @@ non-crossing scan that the position search runs is defined once, as
 from __future__ import annotations
 
 import functools
+from math import comb
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .words import _check_ints, _check_size, _echo, _first_occurrence, _Frozen, _trusted
@@ -74,14 +75,17 @@ def _block_ids(f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, blocks))
 
 
-# Cached: decompositions ask for the same few sizes again and again.
-# Typed, so that ``True`` is not served the entry of ``1``.
-@functools.lru_cache(maxsize=None, typed=True)
 def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     """All canonical surjections from ``[n]``, sorted by codomain size and
-    then lexicographically by assignment.  There are Bell(n) of them.
+    then lexicographically by assignment.  There are Bell(n) of them,
+    cached per ``n``: decompositions ask for the same few sizes again.
     """
     _check_size(n, "n")
+    return _canonical_surjections(n)
+
+
+@functools.cache
+def _canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     # Restricted growth strings, bucketed by codomain size as in _nc_search.
     found: list[list[CanonicalSurjection]] = [[] for _ in range(n)]
     f = [0] * n
@@ -98,8 +102,12 @@ def enumerate_canonical_surjections(n: int) -> tuple[CanonicalSurjection, ...]:
     return tuple([s for bucket in found for s in bucket])
 
 
-def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]], T]) -> list[T]:
-    """``leaf(f, masks)`` for each assignment ``f`` of the letters
+# The cache's counters, under the public name.
+enumerate_canonical_surjections.cache_info = _canonical_surjections.cache_info
+
+
+def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int], int], T]) -> list[T]:
+    """``leaf(f, masks, mu)`` for each assignment ``f`` of the letters
     ``0..k-1`` of ``seq`` to blocks whose image of ``seq`` is
     non-crossing, by number of blocks and then lexicographically, the
     letters taken in order of first occurrence.  Every letter must occur.
@@ -114,14 +122,21 @@ def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]]
     chooses its block: a new one, pushed on the stack, or one still
     open, which closes the blocks above.  Every step is a few operations
     on the stack's int instead of a rescan of the image.
+
+    ``mu`` is the Moebius function of NC(len(seq)) from the partition of
+    the positions by block to the one-block partition: the product of
+    ``(-1)^(s-1) Catalan(s-1)`` over the Kreweras complement's blocks,
+    whose sizes ``s`` are the blocks on the stack at the end and, at each
+    recurrence of a block, the blocks on the stack from it up.
     """
     seq = tuple(seq)
     n = len(seq)
     f = [0] * k
     masks: list[int] = []
     found: list[list[T]] = [[] for _ in range(k)]
+    signed = [0] + [(-1) ** (s - 1) * comb(2 * s - 2, s - 1) // s for s in range(1, k + 1)]
 
-    def scan(p: int, stack: int) -> None:
+    def scan(p: int, stack: int, mu: int) -> None:
         # Later occurrences leave nothing to choose.
         while p < n:
             x = seq[p]
@@ -132,10 +147,11 @@ def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]]
             if above != 1:
                 if not above & 1:
                     return  # b is closed: the image crosses
+                mu *= signed[above.bit_count()]
                 stack &= (2 << b) - 1
             p += 1
         else:
-            found[len(masks) - 1].append(leaf(f, masks))
+            found[len(masks) - 1].append(leaf(f, masks, mu * signed[stack.bit_count()]))
             return
         bit = 1 << x
         rest = stack
@@ -145,16 +161,16 @@ def _nc_search(seq: Sequence[int], k: int, leaf: Callable[[list[int], list[int]]
             b = low.bit_length() - 1
             f[x] = b
             masks[b - 1] |= bit
-            scan(p + 1, stack & ((low << 1) - 1))
+            scan(p + 1, stack & ((low << 1) - 1), mu * signed[(stack >> b).bit_count()])
             masks[b - 1] ^= bit
         b = len(masks) + 1
         f[x] = b
         masks.append(bit)
-        scan(p + 1, stack | 1 << b)
+        scan(p + 1, stack | 1 << b, mu)
         masks.pop()
         f[x] = 0
 
-    scan(0, 0)
+    scan(0, 0, 1)
     return [item for items in found for item in items]
 
 
@@ -172,10 +188,10 @@ def nc_image_assignments(seq: Sequence[int], k: int) -> list[tuple[int, ...]]:
     """
     order = list(dict.fromkeys(seq))
     if order == list(range(k)):
-        return _nc_search(seq, k, lambda f, masks: tuple(f))
+        return _nc_search(seq, k, lambda f, masks, mu: tuple(f))
     if sorted(order) != list(range(k)):
         raise ValueError(f"the letters of {tuple(seq)} are not 0..{k - 1}")
-    found = _nc_search(seq, k, lambda f, masks: _first_occurrence(f, 1))
+    found = _nc_search(seq, k, lambda f, masks, mu: _first_occurrence(f, 1))
     found.sort(key=lambda a: (max(a), a))
     return found
 

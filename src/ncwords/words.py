@@ -306,11 +306,13 @@ def render_word(w: Word, prefer_chars: bool = True) -> str:
 
 def is_reduced(w: Word) -> bool:
     """Whether the word is its own normal form (see :func:`reduce_seq`)."""
+    _check_word(w, "is_reduced")
     return reduce_seq(w.seq) == w.seq
 
 
 def is_pangrammatic(w: Word) -> bool:
     """Whether every letter of the alphabet occurs in the word."""
+    _check_word(w, "is_pangrammatic")
     return len(w.occurring) == w.alphabet.size
 
 
@@ -344,6 +346,7 @@ def is_noncrossing(w: Word) -> bool:
     >>> is_noncrossing(parse_word("abcb"))
     True
     """
+    _check_word(w, "is_noncrossing")
     return is_noncrossing_seq(w.seq)
 
 
@@ -392,6 +395,7 @@ def restrict(w: Word, keep: Iterable[int]) -> Word:
     >>> str(restrict(parse_word("abcab"), [0, 1]))
     'abab'
     """
+    _check_word(w, "restrict")
     keep = list(keep)
     _check_ints(keep, "letter ids to keep")
     ids = sorted(set(keep))

@@ -11,7 +11,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from ncwords import Alphabet, MomentFunctional, Word, apply_map, reduce_word, restrict
 
@@ -248,6 +248,45 @@ def check_lemma_map_restrict(k_max: int, len_max: int, target_max: int):
                         if lhs != rhs:
                             failures.append((seq, raw, ts))
     return checked, failures
+
+
+def oracle_word_cumulant(E: MomentFunctional, seq, assign, memo: dict) -> Fraction:
+    """The cumulant of a reduced non-crossing id sequence whose letters
+    are ``0..k-1``, ``assign[x]`` the variable of letter ``x``, by the
+    defining triangular system solved by recursion on ``Fraction``
+    values: the moment of the word, in first-occurrence order, less the
+    product of the block cumulants for every other surjection of its
+    letters with a non-crossing image.  Surjections come from
+    :func:`oracle_assignments`, images are filtered by the quadratic scan
+    and words reduced by closing the rewrite relation.  ``memo`` keeps
+    the values of one functional, by sequence and assignment."""
+    seq, assign = tuple(seq), tuple(assign)
+    if (seq, assign) in memo:
+        return memo[seq, assign]
+    total = E.expect(tuple(assign[x] for x in dict.fromkeys(seq)))
+    for f in oracle_assignments(len(assign))[1:]:
+        if not _oracle_noncrossing(tuple(f[x] for x in seq)):
+            continue
+        product = Fraction(1)
+        for b in range(1, max(f) + 1):
+            ids = [x for x in range(len(assign)) if f[x] == b]
+            sub = _oracle_normal_form(tuple(ids.index(x) for x in seq if x in ids))
+            product *= oracle_word_cumulant(E, sub, [assign[x] for x in ids], memo)
+        total -= product
+    memo[seq, assign] = total
+    return total
+
+
+def free_coefficient(n: int, parts) -> int:
+    """The coefficient of the product of the moments of orders ``parts``
+    (a partition of ``n``) in the free cumulant of order ``n`` of one
+    variable: ``(-1)^(l-1) (n+l-2)! / ((n-1)! prod_i m_i!)``, with ``l``
+    the number of parts and ``m_i`` the number of parts equal to ``i``.
+    A closed form, with no enumeration."""
+    l = len(parts)
+    counts = [parts.count(i) for i in set(parts)]
+    value = factorial(n + l - 2) // (factorial(n - 1) * prod(map(factorial, counts)))
+    return -value if l % 2 == 0 else value
 
 
 def rand_fraction(rng: random.Random, lo: int = -6, hi: int = 6, dmax: int = 6) -> Fraction:

@@ -21,10 +21,12 @@ from ncwords import (
     EmptyRestrictionError,
     Word,
     apply_map,
+    decompose_along,
     enumerate_canonical_surjections,
     enumerate_nc_basis,
     enumerate_nc_partitions,
     enumerate_word_basis,
+    format_term,
     is_noncrossing,
     is_pangrammatic,
     is_reduced,
@@ -201,8 +203,9 @@ SIZED = {
         (0, ValueError, "{} must be >= 1"),
         (2.0, TypeError, "{} must be an int, got 2.0"),
         (True, TypeError, "{} must be an int, got True"),
+        ([1], TypeError, "{} must be an int, got [1]"),
     ],
-    ids=["zero", "float", "bool"],
+    ids=["zero", "float", "bool", "list"],
 )
 def test_sizes_are_checked_under_their_own_name(call, name, size, error, message):
     with pytest.raises(error) as info:
@@ -225,6 +228,11 @@ NOT_WORDS = {
     "reduce_word": lambda: reduce_word("ab"),
     "apply_map": lambda: apply_map("ab", {0: 0}, Alphabet.numeric(1)),
     "word_cumulant": lambda: word_cumulant(semicircular_family([1], names=("v",)), "ab", "vv"),
+    "restrict": lambda: restrict("ab", [0]),
+    "is_reduced": lambda: is_reduced("ab"),
+    "is_pangrammatic": lambda: is_pangrammatic("ab"),
+    "is_noncrossing": lambda: is_noncrossing("ab"),
+    "decompose_along": lambda: decompose_along("ab", CanonicalSurjection(2, 1, (1, 1))),
 }
 
 
@@ -233,6 +241,12 @@ def test_word_arguments_must_be_words(name, call):
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == f"{name} takes a Word, got str"
+
+
+def test_format_term_takes_a_term():
+    with pytest.raises(TypeError) as info:
+        format_term("f={1} | outer=a | inner=[a]")
+    assert str(info.value) == "format_term takes a DecompositionTerm, got str"
 
 
 def cut(value):

@@ -40,11 +40,13 @@ from ncwords import (
     word_cumulant,
 )
 
-from ncwords.cumulants import _groups, _plan, _reads, _words
+from ncwords.cumulants import _compiled, _groups, _order, _plan, _polynomial, _words
 
 from oracles import (
     fraction_classical_cumulant,
     fraction_moments_from_free_cumulants,
+    free_coefficient,
+    oracle_word_cumulant,
     rand_fraction,
     single_var_table,
     two_var_table,
@@ -615,14 +617,14 @@ class TestPlans:
         first = CumulantTable(two_var_table(rng, 6))
         for w, args in queries:
             first.word_cumulant(w, args)
-        plans, groups, reads = _plan.cache_info(), _groups.cache_info(), _reads.cache_info()
+        plans, groups, compiled = _plan.cache_info(), _groups.cache_info(), _compiled.cache_info()
         E = two_var_table(rng, 6)
         second = CumulantTable(E)
         values = [second.word_cumulant(w, args) for w, args in queries]
         assert _plan.cache_info().misses == plans.misses
         assert _groups.cache_info().misses == groups.misses
-        assert _reads.cache_info().misses == reads.misses
-        assert _reads.cache_info().hits > reads.hits
+        assert _compiled.cache_info().misses == compiled.misses
+        assert _compiled.cache_info().hits > compiled.hits
         assert values[:3] == [
             free_cumulant_direct(E, queries[0][1]),
             free_cumulant_direct(E, queries[1][1]),
@@ -631,14 +633,14 @@ class TestPlans:
 
     def test_renamed_variables_reuse_the_groups(self):
         # the same pattern under new variable names is a new key for
-        # _reads, and _groups already holds its pattern
+        # _compiled, and _groups already holds its pattern
         old, new = ("old_a", "old_b"), ("new_a", "new_b")
         E = MomentFunctional(old + new, rule=lambda t: Fraction(len(t), 7))
         CumulantTable(E).word_cumulant(peak_word(5), [old[i] for i in (0, 1, 1, 0, 0)])
-        groups, reads = _groups.cache_info(), _reads.cache_info()
+        groups, compiled = _groups.cache_info(), _compiled.cache_info()
         CumulantTable(E).word_cumulant(peak_word(5), [new[i] for i in (0, 1, 1, 0, 0)])
         assert _groups.cache_info().misses == groups.misses
-        assert _reads.cache_info().misses > reads.misses
+        assert _compiled.cache_info().misses > compiled.misses
 
     def test_free_cumulants_to_order_10_round_trip(self):
         rng = random.Random(113)
@@ -706,6 +708,39 @@ class TestGroups:
                 assert all(list(ids) == sorted(ids) for _, ids in groups), (shape, pattern)
 
 
+class TestMobiusPolynomial:
+    def test_word_cumulants_match_the_recursion(self):
+        # every non-crossing basis word with k <= 4 and a seeded tenth of
+        # those with k = 5, each on seeded one-, two- and three-variable
+        # tables, against the triangular system solved by recursion
+        rng = random.Random(2026)
+        words = [w for k in range(1, 5) for w in enumerate_nc_basis(Alphabet.numeric(k))]
+        five = enumerate_nc_basis(Alphabet.numeric(5))
+        words += rng.sample(five, len(five) // 10)
+        for names in (("v",), ("a", "b"), ("a", "b", "c")):
+            E = MomentFunctional(
+                names,
+                {t: rand_fraction(rng) for n in range(1, 6) for t in itertools.product(names, repeat=n)},
+            )
+            table, memo = CumulantTable(E), {}
+            for w in words:
+                assign = [rng.choice(names) for _ in range(w.alphabet.size)]
+                got = table.word_cumulant(w, assign)
+                assert got == oracle_word_cumulant(E, w.seq, assign, memo), (w.seq, assign)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_variable_free_coefficients_are_the_closed_form(self, n):
+        # the ascending word on one variable: one monomial per partition
+        # of n, with the closed-form coefficient
+        moments, poly = _compiled((tuple(range(n)), ("v",) * n))
+        coefficients = {
+            tuple(sorted((len(moments[i]) for i in ids), reverse=True)): c for c, ids in poly
+        }
+        partitions = list(integer_partitions(n))
+        assert len(poly) == len(coefficients) == len(partitions)
+        assert coefficients == {p: free_coefficient(n, p) for p in partitions}
+
+
 class RecordingFunctional(MomentFunctional):
     """A functional that records every monomial requested."""
 
@@ -764,9 +799,9 @@ def table_queries(table, args):
 
 
 class TestScaleGrowth:
-    # A table executes on integers scaled by a power of the lcm of the
-    # denominators it has read; a new denominator grows the scale in
-    # place.  These tables make the scale grow many times.
+    # A query is evaluated on integers scaled by a power of the lcm of
+    # its moments' denominators.  These tables make that scale grow
+    # large, query by query, from many distinct denominators.
     def assert_matches_oracles(self, E, queries):
         table = CumulantTable(E)
         for args in queries:
@@ -780,9 +815,8 @@ class TestScaleGrowth:
             {("a", "b"): Fraction(1), ("a",): Fraction(2), ("b",): Fraction(1, 3)},
         )
         assert CumulantTable(E).free_cumulant(("a", "b")) == Fraction(1, 3)
-        # E(b) grows the scale after the cumulant of a is memoized; that
-        # entry is rescaled in place and the pass starts again from the
-        # memo, so no moment is read twice
+        # E(b) has the only denominator above 1; the moments are read in
+        # request order, the query's own first, and none twice
         assert E.requests == [("a", "b"), ("a",), ("b",)]
 
     @pytest.mark.parametrize("order", ["shortest_first", "longest_first"])
@@ -1022,6 +1056,7 @@ class TestMissingMoments:
                 seen.append(E.requests)
             return seen
 
-        _reads.cache_clear()
+        for cache in (_compiled, _polynomial, _order):
+            cache.cache_clear()
         cold = requests()
         assert requests() == cold
