@@ -145,6 +145,8 @@ def _term(seq: Seq, f: Seq) -> tuple[Seq, Pairs]:
 def decompose_along(w: Word, f: CanonicalSurjection) -> DecompositionTerm:
     """The decomposition term of ``w`` along one canonical surjection."""
     _check_word(w, "decompose_along")
+    if not isinstance(f, CanonicalSurjection):
+        raise TypeError(f"decompose_along takes a CanonicalSurjection, got {type(f).__name__}")
     if f.n != w.alphabet.size:
         raise ValueError(f"surjection domain [{f.n}] does not match alphabet size {w.alphabet.size}")
     if not is_pangrammatic(w):

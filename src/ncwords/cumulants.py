@@ -23,15 +23,17 @@ numbers over its Kreweras complement's blocks.
 
 The sum depends only on the word's shape, its ids relabelled in first
 occurrence order, and on the variables' pattern, their own such
-relabelling.  ``_plan`` lists the surjections once per shape, with each
-block's sub-shape and each term's ``mu``, in one pass of the search
-behind :func:`~ncwords.surjections.nc_image_assignments`.  ``_groups``
-merges, per shape and pattern, the terms whose blocks read the same
-sub-shapes and variables, summing their ``mu``; ``_polynomial`` makes
-them an integer polynomial in moments listed in the order in which the
-system, solved by recursion, requests them (``_order``), so that a table
-reports the same first missing moment.  ``_compiled`` names them by a
-query's variables, for the 1024 most recent queries; the rest is kept.
+relabelling.  Three stages, each cached for its 4096 most recent keys,
+compute it.  ``_plan`` lists the surjections once per shape, each with
+its blocks' sub-shapes and its ``mu``, in one pass of the search behind
+:func:`~ncwords.surjections.nc_image_assignments`.  ``_groups`` merges,
+per shape and pattern, the terms whose blocks read the same sub-shapes
+and variables, summing their ``mu``, into an integer polynomial in
+moments listed in the order in which the system, solved by recursion,
+requests them, so that a table reports the same first missing moment.
+``_order`` gives that order for each read's own variables.
+``_compiled`` names the moments by a query's variables, for the 1024
+most recent queries.
 
 A :class:`CumulantTable` reads each moment once and evaluates a query on
 integers: ``D^k`` times a cumulant of ``k`` letters is the sum of
@@ -70,35 +72,32 @@ Shape = tuple[int, ...]
 # positions of the shape's variables that the sub-shape's letters read.
 Block = tuple[Shape, tuple[int, ...]]
 Term = tuple[Block, ...]
-# Per group of equal-product terms: its multiplicity and its reads' numbers.
-Groups = tuple[tuple[int, tuple[int, ...]], ...]
 # A query: a shape and its variables.
 Key = tuple[Shape, tuple[str, ...]]
 # Moments in request order, and per monomial its coefficient and moments.
 Polynomial = tuple[tuple[tuple, ...], tuple[tuple[int, tuple[int, ...]], ...]]
 
+# Entries in each of the caches ``_plan``, ``_groups`` and ``_order``.
+# One pass of the benchmark's cumulant batch leaves 11, 124 and 119
+# entries in them; free and peak-word cumulants of every tuple on three
+# variables to order 6 leave 10, 367 and 512.
+_STAGE_SIZE = 4096
 
-class _Weighted(tuple):
-    """Plan terms or groups, ``mobius[i]`` the Moebius coefficient of entry ``i``."""
 
-
-@functools.cache
-def _plan(shape: Shape) -> _Weighted:
+@functools.lru_cache(maxsize=_STAGE_SIZE)
+def _plan(shape: Shape) -> tuple[tuple[Term, int], ...]:
     """The non-constant terms of the sum for a first-occurrence
-    canonical shape, in the order of
-    :func:`~ncwords.surjections.enumerate_canonical_surjections`, with
-    their ``mu`` as ``mobius``.  The order fixes which moments are
-    requested first, hence which missing moment a table reports.
+    canonical shape, each with its ``mu``, in the order of
+    :func:`~ncwords.surjections.enumerate_canonical_surjections`.  The
+    order fixes which moments are requested first, hence which missing
+    moment a table reports.
     """
     k = max(shape) + 1
     # A block recurs across many terms; one shared entry per block, by
     # its bit set of letters, keeps plans small.
-    by_block: dict[int, tuple[Shape, tuple[int, ...]]] = {}
-    # Each term's mu, by number of blocks, as the search orders terms.
-    mobius: list[list[int]] = [[] for _ in range(k)]
+    by_block: dict[int, Block] = {}
 
-    def term(f: list[int], masks: list[int], mu: int) -> Term:
-        mobius[len(masks) - 1].append(mu)
+    def term(f: list[int], masks: list[int], mu: int) -> tuple[Term, int]:
         entries = []
         for mask in masks:
             entry = by_block.get(mask)
@@ -108,30 +107,29 @@ def _plan(shape: Shape) -> _Weighted:
                 ids = tuple([x for x in range(k) if mask >> x & 1])
                 entry = by_block[mask] = (reduce_seq(restrict_seq(shape, ids)), ids)
             entries.append(entry)
-        return tuple(entries)
+        return tuple(entries), mu
 
     # The search numbers a canonical shape's blocks canonically and puts
     # the constant surjection first.
-    plan = _Weighted(_nc_search(shape, k, term)[1:])
-    plan.mobius = tuple([mu for by_size in mobius for mu in by_size][1:])
-    return plan
+    return tuple(_nc_search(shape, k, term)[1:])
 
 
-@functools.cache
-def _groups(shape: Shape, pattern: Shape) -> tuple[tuple[Block, ...], Groups]:
-    """``_plan(shape)`` with equal-product terms merged, for variables
-    whose first-occurrence relabelling is ``pattern``: terms whose
-    blocks read the same multiset of sub-shapes and variables.  Returns
-    the distinct reads, as blocks ``(sub-shape, positions)`` in order of
-    first appearance, and per group, in first-term order, its
-    multiplicity and its reads' sorted numbers, with its sum of ``mu``
-    in ``mobius``."""
+@functools.lru_cache(maxsize=_STAGE_SIZE)
+def _groups(shape: Shape, pattern: Shape) -> tuple[tuple[Block, ...], Polynomial]:
+    """``_plan(shape)`` for variables whose first-occurrence relabelling
+    is ``pattern``, as a polynomial in their moments.  Returns the
+    distinct reads, as blocks ``(sub-shape, positions)`` in order of
+    first appearance, and the polynomial: the moments in the order of
+    ``_order``, then the shape's own moment and, in first-term order, a
+    monomial per group of terms whose blocks read the same multiset of
+    sub-shapes and variables, its coefficient their sum of ``mu`` and
+    its moments sorted.  A group's terms have as many blocks, so their
+    ``mu`` have one sign and no coefficient is 0."""
     # Each read, (sub-shape, variables), maps to its number and block.
     reads: dict[Block, tuple[int, Block]] = {}
     read_of: dict[tuple[int, ...], int] = {}
-    groups: dict[tuple[int, ...], list[int]] = {}
-    plan = _plan(shape)
-    for term, mu in zip(plan, plan.mobius):
+    groups: dict[tuple[int, ...], int] = {}
+    for term, mu in _plan(shape):
         ids = []
         for sub, at in term:
             r = read_of.get(at)
@@ -140,15 +138,22 @@ def _groups(shape: Shape, pattern: Shape) -> tuple[tuple[Block, ...], Groups]:
                 r = read_of[at] = reads.setdefault(read, (len(reads), (sub, at)))[0]
             ids.append(r)
         ids.sort()
-        group = groups.setdefault(tuple(ids), [0, 0])
-        group[0] += 1
-        group[1] += mu
-    merged = _Weighted([(mult, ids) for ids, (mult, _) in groups.items()])
-    merged.mobius = tuple([mu for _, mu in groups.values()])
-    return tuple([block for _, block in reads.values()]), merged
+        ids = tuple(ids)
+        groups[ids] = groups.get(ids, 0) + mu
+    blocks = tuple([block for _, block in reads.values()])
+    # _order(shape, pattern), which reads this entry's reads, so cannot
+    # be asked for while the entry is built.
+    found = [pattern]
+    for sub, at in blocks:
+        found += _order(sub, tuple([pattern[i] for i in at]))
+    moments = tuple(dict.fromkeys(found))
+    number = {m: i for i, m in enumerate(moments)}
+    moment = [number[tuple([pattern[i] for i in at])] for _, at in blocks]
+    poly = [(mu, tuple(sorted([moment[r] for r in ids]))) for ids, mu in groups.items()]
+    return blocks, (moments, ((1, (0,)), *poly))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_STAGE_SIZE)
 def _order(shape: Shape, vs: tuple) -> tuple[tuple, ...]:
     """The moments of ``shape`` on the variables ``vs`` in the order in
     which the system, solved by recursion, requests them: its own, then
@@ -159,28 +164,15 @@ def _order(shape: Shape, vs: tuple) -> tuple[tuple, ...]:
     return tuple(dict.fromkeys(found))
 
 
-@functools.cache
-def _polynomial(shape: Shape, pattern: Shape) -> Polynomial:
-    """The cumulant of ``shape`` on variables with first-occurrence
-    relabelling ``pattern`` as a polynomial in its ``_order`` moments:
-    its own moment, and a monomial per group whose ``mu`` sum is not 0."""
-    moments = _order(shape, pattern)
-    number = {m: i for i, m in enumerate(moments)}
-    reads, groups = _groups(shape, pattern)
-    moment = [number[tuple([pattern[i] for i in at])] for _, at in reads]
-    poly = [(mu, tuple([moment[r] for r in ids])) for mu, (_, ids) in zip(groups.mobius, groups) if mu]
-    return moments, ((1, (0,)), *poly)
-
-
 _COMPILED_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=_COMPILED_SIZE)
 def _compiled(key: Key) -> Polynomial:
-    """``_polynomial`` of ``key = (shape, variables)``, its moments
-    named by the variables."""
+    """The polynomial of ``key = (shape, variables)`` from ``_groups``,
+    its moments named by the variables."""
     shape, assign = key
-    moments, poly = _polynomial(shape, _first_occurrence(assign))
+    moments, poly = _groups(shape, _first_occurrence(assign))[1]
     names = tuple(dict.fromkeys(assign))
     return tuple([tuple(map(names.__getitem__, m)) for m in moments]), poly
 

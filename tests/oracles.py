@@ -277,6 +277,31 @@ def oracle_word_cumulant(E: MomentFunctional, seq, assign, memo: dict) -> Fracti
     return total
 
 
+def oracle_mobius(blocks, n: int) -> int:
+    """The Moebius function of NC(n) from the partition of the positions
+    ``0..n-1`` into ``blocks`` to the one-block partition.  ``sigma``
+    cycles each block in increasing order and ``gamma(p) = p + 1 mod
+    n``; the cycles of ``sigma^-1 gamma`` are the blocks of the Kreweras
+    complement, and the value is the product of ``(-1)^(|V|-1)
+    Catalan(|V|-1)`` over them (Nica and Speicher, 2006)."""
+    sigma_inverse = {}
+    for block in blocks:
+        ordered = sorted(block)
+        for p, q in zip(ordered, ordered[1:] + ordered[:1]):
+            sigma_inverse[q] = p
+    value = 1
+    seen = set()
+    for start in range(n):
+        size, p = 0, start
+        while p not in seen:
+            seen.add(p)
+            size += 1
+            p = sigma_inverse[(p + 1) % n]
+        if size:
+            value *= (-1) ** (size - 1) * comb(2 * size - 2, size - 1) // size
+    return value
+
+
 def free_coefficient(n: int, parts) -> int:
     """The coefficient of the product of the moments of orders ``parts``
     (a partition of ``n``) in the free cumulant of order ``n`` of one

@@ -10,6 +10,7 @@ same cases every time; enumerator sizes stay at n <= 8.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,6 +242,23 @@ def test_word_arguments_must_be_words(name, call):
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == f"{name} takes a Word, got str"
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        SimpleNamespace(n=2),
+        SimpleNamespace(n=2, m=2, assignment=(2, 1)),
+        (1, 2),
+    ],
+    ids=["no-assignment", "not-canonical", "tuple"],
+)
+def test_decompose_along_takes_a_surjection(f):
+    # the non-canonical one used to give a term with its blocks listed
+    # last block first, under outer names b1,b2
+    with pytest.raises(TypeError) as info:
+        decompose_along(parse_word("ab"), f)
+    assert str(info.value) == f"decompose_along takes a CanonicalSurjection, got {type(f).__name__}"
 
 
 def test_format_term_takes_a_term():

@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour through main(), with frozen output strings."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncwords import cooperad
 from ncwords.cli import main
@@ -511,3 +513,97 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+# Tables for the fuzzed argv: valid, malformed and missing files.
+FUZZ_TABLES = {
+    "one.json": {
+        "vars": ["v"],
+        "moments": [{"word": ["v"] * n, "value": f"1/{n + 1}"} for n in range(1, 7)],
+    },
+    "two.json": {
+        "vars": ["a", "b"],
+        "moments": [
+            {"word": list(t), "value": f"{len(t)}/{t.count('a') + 2}"}
+            for n in range(1, 5)
+            for t in map("".join, itertools.product("ab", repeat=n))
+        ],
+    },
+    "kappas.json": {"cumulants": [{"order": n, "value": f"{n % 3}/1"} for n in range(1, 7)]},
+    "bad-value.json": {"vars": ["v"], "moments": [{"word": ["v"], "value": "x"}]},
+    "bad-shape.json": [1, 2],
+    "bad-order.json": {"cumulants": [{"order": 0, "value": "1/1"}]},
+}
+FUZZ_FILES = [*FUZZ_TABLES, "syntax.json", "missing.json"]
+# Sizes stay small enough that no search recurses past the limit: words
+# of at most 6 letters, alphabets of at most 3, N <= 7.
+SIZES = st.sampled_from(["1", "2", "3", "0", "-1", "x", "2.5"])
+ORDERS = st.sampled_from(["1", "4", "6", "0", "-1", "x"])
+WORDS = st.one_of(
+    st.text("abc", min_size=1, max_size=6),
+    st.lists(st.sampled_from(["1", "2", "3"]), min_size=1, max_size=6).map(",".join),
+    st.sampled_from(["", "a,,b", "a b", ",", "-"]),
+)
+
+
+@st.composite
+def fuzz_argv(draw, tmp_path):
+    command = draw(
+        st.sampled_from(
+            ["reduce", "check", "decompose", "coassoc", "ncpartitions", "surjections",
+             "cumulants", "moments", "bogus"]
+        )
+    )
+    flag = st.booleans()
+    if command in ("reduce", "check", "decompose"):
+        return [command, draw(WORDS)] + ["--nc"] * (command == "decompose" and draw(flag))
+    if command == "coassoc":
+        argv = [command, "--alphabet-size", draw(SIZES), "--max-len"]
+        argv.append(draw(st.sampled_from(["1", "3", "5", "0", "x"])))
+        if draw(flag):
+            argv += ["--samples", draw(SIZES), "--seed", draw(st.sampled_from(["0", "7"]))]
+        return argv + ["--nc"] * draw(flag)
+    if command in ("ncpartitions", "surjections"):
+        argv = [command, draw(st.sampled_from(["1", "4", "7", "0", "-1", "x"]))]
+        return argv + ["--count-only"] * (command == "ncpartitions" and draw(flag))
+    if command == "bogus":
+        return [command]
+    # Half the runs name a valid table and fitting options, so that the
+    # cumulant routes run too; the rest mix anything with anything.
+    valid = draw(flag)
+    name = draw(st.sampled_from(["one.json", "two.json"] if valid else FUZZ_FILES))
+    path = str(tmp_path / name)
+    if command == "moments":
+        if valid:
+            return [command, "--cumulants", str(tmp_path / "kappas.json"), "--up-to", draw(ORDERS)]
+        return [command, "--cumulants", path] + ["--up-to", draw(ORDERS)] * draw(flag)
+    kinds = ["free", "boolean", "classical", "word"] + ["other"] * (not valid)
+    kind = draw(st.sampled_from(kinds))
+    word = draw(WORDS)
+    names = ["a", "b"] if name == "two.json" else ["v"]
+    count = len(set(word)) if kind == "word" else draw(st.integers(1, 6))
+    args = ",".join(draw(st.lists(st.sampled_from(names), min_size=count, max_size=count)))
+    argv = [command, "--moments", path, "--kind", kind] + ["--json"] * draw(flag)
+    if valid:
+        if kind == "word":
+            return argv + ["--word", word, "--args", args]
+        if name == "one.json" and draw(flag):
+            return argv + ["--args", "v", "--up-to", draw(ORDERS)]
+        return argv + ["--args", args]
+    argv += ["--args", draw(st.sampled_from([args, "", "v,", "w"]))]
+    argv += ["--word", word] * draw(flag)
+    return argv + ["--up-to", draw(ORDERS)] * draw(flag)
+
+
+def test_main_exits_0_1_or_2_on_generated_argv(tmp_path, capsys):
+    for name, table in FUZZ_TABLES.items():
+        (tmp_path / name).write_text(json.dumps(table))
+    (tmp_path / "syntax.json").write_text('{"vars": ["v"], "moments": [')
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(fuzz_argv(tmp_path))
+    def check(argv):
+        assert main(argv) in (0, 1, 2), argv
+
+    check()
+    capsys.readouterr()

@@ -40,12 +40,13 @@ from ncwords import (
     word_cumulant,
 )
 
-from ncwords.cumulants import _compiled, _groups, _order, _plan, _polynomial, _words
+from ncwords.cumulants import _compiled, _groups, _order, _plan, _words
 
 from oracles import (
     fraction_classical_cumulant,
     fraction_moments_from_free_cumulants,
     free_coefficient,
+    oracle_mobius,
     oracle_word_cumulant,
     rand_fraction,
     single_var_table,
@@ -604,7 +605,19 @@ def nc_basis_shapes():
 class TestPlans:
     def test_plans_match_bell_filter_on_nc_basis_words(self):
         for shape in nc_basis_shapes():
-            assert _plan(shape) == bell_filter_terms(shape), shape
+            assert tuple(term for term, _ in _plan(shape)) == bell_filter_terms(shape), shape
+
+    def test_plan_mu_is_the_kreweras_product(self):
+        # each term's mu against the cycles of sigma^-1 gamma, sigma the
+        # partition of the positions by block of the term's image; the
+        # oracle itself sums to 0 over NC(n), as a Moebius function does
+        for n in range(2, 7):
+            blocks = [[[e - 1 for e in b] for b in f.blocks()] for f in enumerate_nc_partitions(n)]
+            assert sum(oracle_mobius(b, n) for b in blocks) == 0
+        for shape in nc_basis_shapes():
+            for term, mu in _plan(shape):
+                blocks = [[p for p, x in enumerate(shape) if x in ids] for _, ids in term]
+                assert mu == oracle_mobius(blocks, len(shape)), (shape, term)
 
     def test_second_table_reuses_every_plan(self):
         rng = random.Random(112)
@@ -642,6 +655,10 @@ class TestPlans:
         assert _groups.cache_info().misses == groups.misses
         assert _compiled.cache_info().misses > compiled.misses
 
+    def test_every_cache_is_bounded(self):
+        for cache in (_plan, _groups, _order, _compiled):
+            assert cache.cache_info().maxsize is not None
+
     def test_free_cumulants_to_order_10_round_trip(self):
         rng = random.Random(113)
         E = single_var_table(rng, 10)
@@ -668,20 +685,29 @@ class TestGroups:
     def test_one_variable_groups_are_kreweras_block_types(self, n):
         # the non-crossing partitions of [n] with b blocks, m_i of size
         # i, number n! / ((n - b + 1)! prod m_i!) (Kreweras, 1972)
-        reads, groups = _groups(tuple(range(n)), (0,) * n)
-        types = [tuple(sorted((len(reads[r][1]) for r in ids), reverse=True)) for _, ids in groups]
+        _, (moments, poly) = _groups(tuple(range(n)), (0,) * n)
+        assert poly[0] == (1, (0,)) and moments[0] == (0,) * n
+        number = {m: i for i, m in enumerate(moments)}
+        terms = Counter(
+            tuple(sorted(number[(0,) * len(at)] for _, at in term))
+            for term, _ in _plan(tuple(range(n)))
+        )
+        types = [tuple(sorted((len(moments[i]) for i in ids), reverse=True)) for _, ids in poly[1:]]
         assert sorted(types) == sorted(p for p in integer_partitions(n) if len(p) > 1)
-        for (mult, _), sizes in zip(groups, types):
+        assert sorted(terms) == sorted(ids for _, ids in poly[1:])
+        for (_, ids), sizes in zip(poly[1:], types):
             b = len(sizes)
             counts = Counter(sizes).values()
-            assert mult == factorial(n) // (factorial(n - b + 1) * prod(map(factorial, counts)))
+            assert terms[ids] == factorial(n) // (factorial(n - b + 1) * prod(map(factorial, counts)))
 
     def test_groups_expand_to_the_plan_terms(self):
-        # for every two-variable pattern, each group stands for the plan
-        # terms whose blocks read the same multiset of sub-shapes and
-        # variables; groups come in the order of their first terms, and
-        # reads are numbered in order of first appearance in the plan,
-        # each with the positions of the block it first appears in
+        # for every two-variable pattern, each monomial stands for the
+        # plan terms whose blocks read the same multiset of sub-shapes
+        # and variables, its coefficient their sum of mu; monomials come
+        # in the order of their first terms after the shape's own
+        # moment, and reads are numbered in order of first appearance in
+        # the plan, each with the positions of the block it first
+        # appears in
         for shape in nc_basis_shapes():
             k = max(shape) + 1
             for rest in itertools.product((0, 1), repeat=k - 1):
@@ -692,20 +718,22 @@ class TestGroups:
 
                 classes = {}
                 first_block = {}
-                for term in _plan(shape):
+                for term, mu in _plan(shape):
                     counts = Counter(map(read_of, term))
-                    classes.setdefault(frozenset(counts.items()), []).append(term)
+                    classes.setdefault(frozenset(counts.items()), []).append((term, mu))
                     for block in term:
                         first_block.setdefault(read_of(block), block)
-                expected = [
-                    (len(terms), Counter(map(read_of, terms[0]))) for terms in classes.values()
-                ]
-                reads, groups = _groups(shape, pattern)
+                reads, (moments, poly) = _groups(shape, pattern)
                 assert list(reads) == list(first_block.values()), (shape, pattern)
-                assert [
-                    (mult, Counter(read_of(reads[r]) for r in ids)) for mult, ids in groups
-                ] == expected, (shape, pattern)
-                assert all(list(ids) == sorted(ids) for _, ids in groups), (shape, pattern)
+                assert moments == _order(shape, pattern), (shape, pattern)
+                assert poly[0] == (1, (0,)), (shape, pattern)
+                number = {m: i for i, m in enumerate(moments)}
+                expected = [
+                    (sum(mu for _, mu in terms), Counter(number[read_of(b)[1]] for b in terms[0][0]))
+                    for terms in classes.values()
+                ]
+                assert [(mu, Counter(ids)) for mu, ids in poly[1:]] == expected, (shape, pattern)
+                assert all(list(ids) == sorted(ids) for _, ids in poly), (shape, pattern)
 
 
 class TestMobiusPolynomial:
@@ -1056,7 +1084,7 @@ class TestMissingMoments:
                 seen.append(E.requests)
             return seen
 
-        for cache in (_compiled, _polynomial, _order):
+        for cache in (_compiled, _groups, _order):
             cache.cache_clear()
         cold = requests()
         assert requests() == cold
