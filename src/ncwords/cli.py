@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from typing import NoReturn
 
 from .cumulants import (
     CumulantTable,
@@ -42,8 +43,17 @@ from .words import (
 from .surjections import enumerate_canonical_surjections, enumerate_nc_partitions
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through ``add_subparsers`` each of its
+    subcommands' parsers, that reports a usage error on one line,
+    ``error: <message>``, and exits 1."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ncwords",
         description="Non-crossing words, their cooperadic decomposition, and cumulants.",
     )
@@ -146,6 +156,8 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
             raise ValueError(
                 f"--args names {_echo(name)}, which is not a variable of {ns.moments}"
             )
+    if ns.word is not None and ns.kind != "word":
+        raise ValueError(f"--word does not apply to --kind {ns.kind}")
     # One query per printed line: its text prefix and the variables it takes.
     queries, w, extra = [("", args)], None, {}
     if ns.up_to is not None:
@@ -165,8 +177,6 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
                 f"{w.alphabet.size} letters"
             )
         extra = {"word": ns.word}
-    elif ns.word:
-        raise ValueError(f"--word does not apply to --kind {ns.kind}")
     table = CumulantTable(E)
     value_of = {
         "free": table.free_cumulant,
@@ -238,8 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 for --help; fold usage
-        # errors into the single validation exit code.
+        # argparse exits 0 for --help; _Parser exits 1 on a usage error.
         return 0 if not exc.code else 1
     try:
         return ns.run(ns)

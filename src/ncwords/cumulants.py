@@ -23,17 +23,17 @@ numbers over its Kreweras complement's blocks.
 
 The sum depends only on the word's shape, its ids relabelled in first
 occurrence order, and on the variables' pattern, their own such
-relabelling.  Three stages, each cached for its 4096 most recent keys,
-compute it.  ``_plan`` lists the surjections once per shape, each with
-its blocks' sub-shapes and its ``mu``, in one pass of the search behind
+relabelling.  Three cached stages compute it.  ``_plan`` lists the
+surjections once per shape, each with its blocks' sub-shapes and its
+``mu``, in one pass of the search behind
 :func:`~ncwords.surjections.nc_image_assignments`.  ``_groups`` merges,
 per shape and pattern, the terms whose blocks read the same sub-shapes
 and variables, summing their ``mu``, into an integer polynomial in
 moments listed in the order in which the system, solved by recursion,
 requests them, so that a table reports the same first missing moment.
-``_order`` gives that order for each read's own variables.
-``_compiled`` names the moments by a query's variables, for the 1024
-most recent queries.
+Both keep their 4096 most recent keys.  ``_compiled`` names the moments
+by a query's variables, for the 1024 most recent keys; a read's order
+is ``_compiled`` of the read, on the pattern's variables.
 
 A :class:`CumulantTable` reads each moment once and evaluates a query on
 integers: ``D^k`` times a cumulant of ``k`` letters is the sum of
@@ -72,15 +72,15 @@ Shape = tuple[int, ...]
 # positions of the shape's variables that the sub-shape's letters read.
 Block = tuple[Shape, tuple[int, ...]]
 Term = tuple[Block, ...]
-# A query: a shape and its variables.
-Key = tuple[Shape, tuple[str, ...]]
+# A query or a read: a shape and its variables.
+Key = tuple[Shape, tuple]
 # Moments in request order, and per monomial its coefficient and moments.
 Polynomial = tuple[tuple[tuple, ...], tuple[tuple[int, tuple[int, ...]], ...]]
 
-# Entries in each of the caches ``_plan``, ``_groups`` and ``_order``.
-# One pass of the benchmark's cumulant batch leaves 11, 124 and 119
-# entries in them; free and peak-word cumulants of every tuple on three
-# variables to order 6 leave 10, 367 and 512.
+# Entries in each of the caches ``_plan`` and ``_groups``.  One pass of
+# the benchmark's cumulant batch leaves 11 and 124 entries in them, and
+# 349 in ``_compiled``; free and peak-word cumulants of every tuple on
+# three variables to order 6 leave 10 and 367.
 _STAGE_SIZE = 4096
 
 
@@ -115,18 +115,18 @@ def _plan(shape: Shape) -> tuple[tuple[Term, int], ...]:
 
 
 @functools.lru_cache(maxsize=_STAGE_SIZE)
-def _groups(shape: Shape, pattern: Shape) -> tuple[tuple[Block, ...], Polynomial]:
+def _groups(shape: Shape, pattern: Shape) -> Polynomial:
     """``_plan(shape)`` for variables whose first-occurrence relabelling
-    is ``pattern``, as a polynomial in their moments.  Returns the
-    distinct reads, as blocks ``(sub-shape, positions)`` in order of
-    first appearance, and the polynomial: the moments in the order of
-    ``_order``, then the shape's own moment and, in first-term order, a
-    monomial per group of terms whose blocks read the same multiset of
-    sub-shapes and variables, its coefficient their sum of ``mu`` and
-    its moments sorted.  A group's terms have as many blocks, so their
-    ``mu`` have one sign and no coefficient is 0."""
-    # Each read, (sub-shape, variables), maps to its number and block.
-    reads: dict[Block, tuple[int, Block]] = {}
+    is ``pattern``, as a polynomial in their moments: the moments in the
+    order in which the system, solved by recursion, requests them, its
+    own, then depth first through each read ``(sub-shape, variables)``
+    in order of first appearance, each moment once; then the shape's own
+    moment and, in first-term order, a monomial per group of terms whose
+    blocks read the same multiset of reads, its coefficient their sum of
+    ``mu`` and its moments sorted.  A group's terms have as many blocks,
+    so their ``mu`` have one sign and no coefficient is 0."""
+    # Each read, (sub-shape, variables), maps to its number.
+    reads: dict[Key, int] = {}
     read_of: dict[tuple[int, ...], int] = {}
     groups: dict[tuple[int, ...], int] = {}
     for term, mu in _plan(shape):
@@ -135,33 +135,20 @@ def _groups(shape: Shape, pattern: Shape) -> tuple[tuple[Block, ...], Polynomial
             r = read_of.get(at)
             if r is None:
                 read = (sub, tuple([pattern[i] for i in at]))
-                r = read_of[at] = reads.setdefault(read, (len(reads), (sub, at)))[0]
+                r = read_of[at] = reads.setdefault(read, len(reads))
             ids.append(r)
         ids.sort()
         ids = tuple(ids)
         groups[ids] = groups.get(ids, 0) + mu
-    blocks = tuple([block for _, block in reads.values()])
-    # _order(shape, pattern), which reads this entry's reads, so cannot
-    # be asked for while the entry is built.
+    # Each read's own order is _compiled of the read.
     found = [pattern]
-    for sub, at in blocks:
-        found += _order(sub, tuple([pattern[i] for i in at]))
+    for read in reads:
+        found += _compiled(read)[0]
     moments = tuple(dict.fromkeys(found))
     number = {m: i for i, m in enumerate(moments)}
-    moment = [number[tuple([pattern[i] for i in at])] for _, at in blocks]
+    moment = [number[vs] for _, vs in reads]
     poly = [(mu, tuple(sorted([moment[r] for r in ids]))) for ids, mu in groups.items()]
-    return blocks, (moments, ((1, (0,)), *poly))
-
-
-@functools.lru_cache(maxsize=_STAGE_SIZE)
-def _order(shape: Shape, vs: tuple) -> tuple[tuple, ...]:
-    """The moments of ``shape`` on the variables ``vs`` in the order in
-    which the system, solved by recursion, requests them: its own, then
-    depth first through each of its reads, each moment once."""
-    found = [vs]
-    for sub, at in _groups(shape, _first_occurrence(vs))[0]:
-        found += _order(sub, tuple([vs[i] for i in at]))
-    return tuple(dict.fromkeys(found))
+    return moments, ((1, (0,)), *poly)
 
 
 _COMPILED_SIZE = 1024
@@ -170,9 +157,11 @@ _COMPILED_SIZE = 1024
 @functools.lru_cache(maxsize=_COMPILED_SIZE)
 def _compiled(key: Key) -> Polynomial:
     """The polynomial of ``key = (shape, variables)`` from ``_groups``,
-    its moments named by the variables."""
+    its moments named by the variables.  ``_groups`` also asks it for
+    each read, on pattern-labelled variables, so its moments are that
+    read's request order."""
     shape, assign = key
-    moments, poly = _groups(shape, _first_occurrence(assign))[1]
+    moments, poly = _groups(shape, _first_occurrence(assign))
     names = tuple(dict.fromkeys(assign))
     return tuple([tuple(map(names.__getitem__, m)) for m in moments]), poly
 

@@ -287,6 +287,13 @@ class TestCumulantsCommand:
         )
         assert code == 1 and "--word" in err
 
+    @pytest.mark.parametrize("kind", ["free", "boolean", "classical"])
+    def test_word_flag_rejected_in_batch_mode(self, capsys, moments_file, kind):
+        assert run(
+            capsys, "cumulants", "--moments", moments_file, "--kind", kind,
+            "--word", "ab", "--args", "v", "--up-to", "2",
+        ) == (1, "", f"error: --word does not apply to --kind {kind}\n")
+
     def test_crossing_word_rejected(self, capsys, moments_file):
         code, _, err = run(
             capsys, "cumulants", "--moments", moments_file, "--kind", "word",
@@ -513,6 +520,31 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_help_prints_usage_to_stdout(self, capsys):
+        for argv in (["--help"], ["cumulants", "--help"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out.startswith("usage: ncwords"), argv
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["surjections", "x"], "argument n: invalid int value: 'x'"),
+            # later Pythons list the choices without quotes
+            (["cumulants", "--moments", "m.json", "--kind", "other", "--args", "v"],
+             "argument --kind: invalid choice: 'other'"),
+            (["coassoc", "--alphabet-size", "2"],
+             "the following arguments are required: --max-len"),
+            (["reduce", "ab", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["invalid-int", "invalid-choice", "missing-option", "unknown-option", "no-command"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
 
 
 # Tables for the fuzzed argv: valid, malformed and missing files.

@@ -40,7 +40,7 @@ from ncwords import (
     word_cumulant,
 )
 
-from ncwords.cumulants import _compiled, _groups, _order, _plan, _words
+from ncwords.cumulants import _compiled, _groups, _plan, _words
 
 from oracles import (
     fraction_classical_cumulant,
@@ -656,7 +656,7 @@ class TestPlans:
         assert _compiled.cache_info().misses > compiled.misses
 
     def test_every_cache_is_bounded(self):
-        for cache in (_plan, _groups, _order, _compiled):
+        for cache in (_plan, _groups, _compiled):
             assert cache.cache_info().maxsize is not None
 
     def test_free_cumulants_to_order_10_round_trip(self):
@@ -685,7 +685,7 @@ class TestGroups:
     def test_one_variable_groups_are_kreweras_block_types(self, n):
         # the non-crossing partitions of [n] with b blocks, m_i of size
         # i, number n! / ((n - b + 1)! prod m_i!) (Kreweras, 1972)
-        _, (moments, poly) = _groups(tuple(range(n)), (0,) * n)
+        moments, poly = _groups(tuple(range(n)), (0,) * n)
         assert poly[0] == (1, (0,)) and moments[0] == (0,) * n
         number = {m: i for i, m in enumerate(moments)}
         terms = Counter(
@@ -705,9 +705,7 @@ class TestGroups:
         # plan terms whose blocks read the same multiset of sub-shapes
         # and variables, its coefficient their sum of mu; monomials come
         # in the order of their first terms after the shape's own
-        # moment, and reads are numbered in order of first appearance in
-        # the plan, each with the positions of the block it first
-        # appears in
+        # moment
         for shape in nc_basis_shapes():
             k = max(shape) + 1
             for rest in itertools.product((0, 1), repeat=k - 1):
@@ -717,15 +715,10 @@ class TestGroups:
                     return block[0], tuple(pattern[i] for i in block[1])
 
                 classes = {}
-                first_block = {}
                 for term, mu in _plan(shape):
                     counts = Counter(map(read_of, term))
                     classes.setdefault(frozenset(counts.items()), []).append((term, mu))
-                    for block in term:
-                        first_block.setdefault(read_of(block), block)
-                reads, (moments, poly) = _groups(shape, pattern)
-                assert list(reads) == list(first_block.values()), (shape, pattern)
-                assert moments == _order(shape, pattern), (shape, pattern)
+                moments, poly = _groups(shape, pattern)
                 assert poly[0] == (1, (0,)), (shape, pattern)
                 number = {m: i for i, m in enumerate(moments)}
                 expected = [
@@ -755,6 +748,23 @@ class TestMobiusPolynomial:
                 assign = [rng.choice(names) for _ in range(w.alphabet.size)]
                 got = table.word_cumulant(w, assign)
                 assert got == oracle_word_cumulant(E, w.seq, assign, memo), (w.seq, assign)
+
+    def test_moments_come_in_the_recursions_request_order(self):
+        # a query's moments, in order, are those that the triangular
+        # system, solved by recursion, requests, each at its first
+        # request: every shape with k <= 4 on every two-variable
+        # pattern, and each shape with k = 5 on one seeded pattern
+        rng = random.Random(2028)
+        queries = []
+        for shape in nc_basis_shapes():
+            k = max(shape) + 1
+            patterns = [(0,) + rest for rest in itertools.product((0, 1), repeat=k - 1)]
+            queries += [(shape, p) for p in (patterns if k <= 4 else [rng.choice(patterns)])]
+        for shape, pattern in queries:
+            vs = tuple("ab"[i] for i in pattern)
+            E = RecordingFunctional(("a", "b"), rule=lambda t: Fraction(len(t), 7))
+            oracle_word_cumulant(E, shape, vs, {})
+            assert tuple(dict.fromkeys(E.requests)) == _compiled((shape, vs))[0], (shape, vs)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_one_variable_free_coefficients_are_the_closed_form(self, n):
@@ -1084,7 +1094,7 @@ class TestMissingMoments:
                 seen.append(E.requests)
             return seen
 
-        for cache in (_compiled, _groups, _order):
+        for cache in (_compiled, _groups):
             cache.cache_clear()
         cold = requests()
         assert requests() == cold
