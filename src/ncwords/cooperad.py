@@ -179,7 +179,7 @@ def _iter_terms(w: Word, noncrossing: bool) -> Iterator[DecompositionTerm]:
     """The terms of :func:`decompose` or, with ``noncrossing`` set, of
     :func:`decompose_noncrossing`, one at a time.  The word is checked
     before the first term."""
-    _check_basis_word(w, noncrossing)
+    _check_basis_word(w, "decompose_noncrossing" if noncrossing else "decompose", noncrossing)
     k = w.alphabet.size
     if noncrossing:
         fs = map(_surjection, nc_image_assignments(w.seq, k))
@@ -206,6 +206,10 @@ def decompose_noncrossing(w: Word) -> list[DecompositionTerm]:
 def crossing_ideal_witness(term: DecompositionTerm) -> bool:
     """Whether the term has a crossing outer word or some crossing inner
     word.  Every term of every decomposition of a crossing word must."""
+    if not isinstance(term, DecompositionTerm):
+        raise TypeError(
+            f"crossing_ideal_witness takes a DecompositionTerm, got {type(term).__name__}"
+        )
     if not is_noncrossing(term.outer):
         return True
     return any(not is_noncrossing(iw) for iw in term.inner)
@@ -300,7 +304,7 @@ def check_coassociativity(w: Word, noncrossing: bool = False) -> bool:
     outlives the call.  The rows hold one entry per ``f`` and set of its
     blocks (85778 for k=8), not one per chain (167894).
     """
-    _check_basis_word(w, noncrossing)
+    _check_basis_word(w, "check_coassociativity", noncrossing)
     s = w.seq
     term = lru_cache(maxsize=_MEMO_SIZE)(_term)
 

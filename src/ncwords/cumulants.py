@@ -33,7 +33,8 @@ moments listed in the order in which the system, solved by recursion,
 requests them, so that a table reports the same first missing moment.
 Both keep their 4096 most recent keys.  ``_compiled`` names the moments
 by a query's variables, for the 1024 most recent keys; a read's order
-is ``_compiled`` of the read, on the pattern's variables.
+is ``_compiled`` of the read, on the pattern's variables.  A fourth
+cache, ``_query_word``, checks and relabels the 8192 most recent words.
 
 A :class:`CumulantTable` reads each moment once and evaluates a query on
 integers: ``D^k`` times a cumulant of ``k`` letters is the sum of
@@ -166,43 +167,30 @@ def _compiled(key: Key) -> Polynomial:
     return tuple([tuple(map(names.__getitem__, m)) for m in moments]), poly
 
 
-# Entries in the word-query cache, which checks and relabels each query
-# word once.  The non-crossing basis on at most five letters, 5685 words,
-# fits in about 1.9 MB, so only longer words can fill it; full, it keeps
-# about 2.7 MB and admits no more words: a word past the bound is checked
-# on every query.  Emptying it when full instead made a warm table about
-# 25% slower than no cache on a stream cycling through more words, as
-# every query then allocated an entry.  The lock keeps the bound when
-# threads fill it; a full cache takes no lock.
+# Entries in ``_query_word``.  The non-crossing basis on at most five
+# letters, 5685 words, fits; full, it keeps about 4.3 MB, words included.
 _WORDS_SIZE = 8192
-# A query word's shape and its letters in first-occurrence order, by
-# the word's ids and alphabet size.
-_words: dict[tuple[Shape, int], tuple[Shape, Shape]] = {}
-_words_lock = threading.Lock()
 
 
-def _enter_word(w: Word) -> tuple[Shape, Shape]:
+@functools.lru_cache(maxsize=_WORDS_SIZE)
+def _query_word(w: Word) -> tuple[Shape, Shape]:
     """The shape of the query word ``w`` and its letters in order of
-    first occurrence, entered in ``_words`` if it has room.  ``w`` is
-    checked first, so the cache keeps only valid words, by the ids and
-    alphabet size that their validity depends on."""
-    _check_basis_word(w, noncrossing=True)
-    entry = (_first_occurrence(w.seq), tuple(dict.fromkeys(w.seq)))
-    if len(_words) < _WORDS_SIZE:
-        with _words_lock:
-            if len(_words) < _WORDS_SIZE:
-                _words[w.seq, w.alphabet.size] = entry
-    return entry
+    first occurrence, once ``w`` is checked.  The key ``w`` equals every
+    word with its ids and alphabet size, all that its validity depends
+    on; a refusal is not cached, so it names the caller's own letters."""
+    _check_basis_word(w, "word_cumulant", noncrossing=True)
+    return _first_occurrence(w.seq), tuple(dict.fromkeys(w.seq))
 
 
 class CumulantTable:
     """Word cumulants of one moment functional.
 
     Each query is relabelled to its shape, the word in first occurrence
-    order, with the variables in the same order, and evaluated as its
-    polynomial from ``_compiled``, which every table shares (see the
-    module docstring).  A table keeps the moments it has read as integer
-    pairs, by their variables, so each is read once, in request order.
+    order, with the variables in the same order, by ``_query_word``, and
+    evaluated as its polynomial from ``_compiled``; every table shares
+    both caches (see the module docstring).  A table keeps the moments it
+    has read as integer pairs, by their variables, so each is read once,
+    in request order.
     A re-entrant lock makes the reads atomic: threads may share a table,
     and a moment rule may query the table it feeds without blocking.
     """
@@ -227,7 +215,7 @@ class CumulantTable:
             raise ValueError(
                 f"assignment names {len(assign)} variables for an alphabet of size {k}"
             )
-        shape, order = _words.get((w.seq, k)) or _enter_word(w)
+        shape, order = _query_word(w)
         return self._cumulant(shape, tuple([assign[x] for x in order]))
 
     def _cumulant(self, shape: Shape, assign: tuple[str, ...]) -> Fraction:

@@ -33,12 +33,12 @@ from .words import _echo
 class MissingMomentError(LookupError):
     """Raised when a functional has no value for a requested monomial.
 
-    ``monomial`` is the tuple of factors; the message writes it as
-    ``a*b*a``, or ``1`` for the empty monomial.
+    ``monomial`` is the tuple of factors; the message writes each factor
+    by ``str``, as ``a*b*a``, or ``1`` for the empty monomial.
     """
 
     def __init__(self, monomial: tuple[str, ...]) -> None:
-        super().__init__(f"moment undefined for monomial {'*'.join(monomial) or '1'}")
+        super().__init__(f"moment undefined for monomial {'*'.join(map(str, monomial)) or '1'}")
         self.monomial = monomial
 
 

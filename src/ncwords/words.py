@@ -18,7 +18,7 @@ Conventions used throughout the package:
 - A word is *non-crossing* when no two distinct letters occur interleaved
   as ``a .. b .. a .. b``, and *reduced* when it is its own normal form.
   A *basis word* is pangrammatic and reduced; ``_check_basis_word``, the
-  one check of the decompositions and cumulants, refuses other words.
+  one check of the decompositions and cumulants, refuses other arguments.
 - Each boundary rule has one owner here, which the other modules use
   too: ``_check_size``, that a size (an alphabet size, an enumerator's
   ``n``, a ``max_len``) is a plain ``int`` >= 1; ``_check_ints``, that
@@ -421,9 +421,11 @@ def restrict_seq(seq: Sequence[int], ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[x] for x in seq if x in rank)
 
 
-def _check_basis_word(w: Word, noncrossing: bool = False) -> None:
-    """Raise unless ``w`` is pangrammatic, reduced and, with
+def _check_basis_word(w: Word, what: str, noncrossing: bool = False) -> None:
+    """Raise unless ``w``, the word argument of the function ``what``,
+    is a :class:`Word` that is pangrammatic, reduced and, with
     ``noncrossing`` set, non-crossing (:class:`CrossingWordError`)."""
+    _check_word(w, what)
     if not is_pangrammatic(w):
         raise ValueError(f"word {_echo(render_word(w))} does not use every alphabet letter")
     if not is_reduced(w):

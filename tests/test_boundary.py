@@ -22,7 +22,11 @@ from ncwords import (
     EmptyRestrictionError,
     Word,
     apply_map,
+    check_coassociativity,
+    crossing_ideal_witness,
+    decompose,
     decompose_along,
+    decompose_noncrossing,
     enumerate_canonical_surjections,
     enumerate_nc_basis,
     enumerate_nc_partitions,
@@ -234,6 +238,9 @@ NOT_WORDS = {
     "is_pangrammatic": lambda: is_pangrammatic("ab"),
     "is_noncrossing": lambda: is_noncrossing("ab"),
     "decompose_along": lambda: decompose_along("ab", CanonicalSurjection(2, 1, (1, 1))),
+    "decompose": lambda: decompose("ab"),
+    "decompose_noncrossing": lambda: decompose_noncrossing("ab"),
+    "check_coassociativity": lambda: check_coassociativity("ab"),
 }
 
 
@@ -265,6 +272,12 @@ def test_format_term_takes_a_term():
     with pytest.raises(TypeError) as info:
         format_term("f={1} | outer=a | inner=[a]")
     assert str(info.value) == "format_term takes a DecompositionTerm, got str"
+
+
+def test_crossing_ideal_witness_takes_a_term():
+    with pytest.raises(TypeError) as info:
+        crossing_ideal_witness("x")
+    assert str(info.value) == "crossing_ideal_witness takes a DecompositionTerm, got str"
 
 
 def cut(value):

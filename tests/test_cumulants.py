@@ -6,6 +6,7 @@ partition sums by hand, so they are independent of both code paths they
 are compared with.
 """
 
+import functools
 import itertools
 import random
 import sys
@@ -40,7 +41,8 @@ from ncwords import (
     word_cumulant,
 )
 
-from ncwords.cumulants import _compiled, _groups, _plan, _words
+from ncwords import cumulants
+from ncwords.cumulants import _compiled, _groups, _plan, _query_word
 
 from oracles import (
     fraction_classical_cumulant,
@@ -176,9 +178,14 @@ class TestWordCumulant:
         assert first == again == fresh
 
 
+def small_query_cache():
+    """The word-query cache with room for 8 words."""
+    return functools.lru_cache(maxsize=8)(_query_word.__wrapped__)
+
+
 class TestWordQueryCache:
     # word_cumulant checks and relabels each word once per process, by
-    # its ids and alphabet size (cumulants._words); a refusal is not kept
+    # its ids and alphabet size (_query_word); a refusal is not kept
     @pytest.mark.parametrize(
         "valid, seq, names, message",
         [
@@ -202,10 +209,11 @@ class TestWordQueryCache:
 
         def refuse(letters):
             w = Word(Alphabet(letters), seq)
+            kept = _query_word.cache_info().currsize
             with pytest.raises(ValueError) as info:
                 table.word_cumulant(w, ("v",) * len(letters))
             assert str(info.value) == message.format(render_word(w))
-            assert (seq, len(letters)) not in _words
+            assert _query_word.cache_info().currsize == kept
 
         steps = [query_valid] + [lambda letters=letters: refuse(letters) for letters in names]
         for step in steps if valid_first else steps[::-1]:
@@ -223,25 +231,23 @@ class TestWordQueryCache:
                 assert CumulantTable(E).word_cumulant(w, assign) == first, w
 
     def test_a_sweep_past_the_bound_keeps_the_bound(self, monkeypatch):
-        monkeypatch.setattr("ncwords.cumulants._WORDS_SIZE", 8)
-        _words.clear()
+        monkeypatch.setattr(cumulants, "_query_word", small_query_cache())
         words = [w for k in range(1, 4) for w in enumerate_nc_basis(Alphabet.numeric(k))]
         assert len(words) > 8
         E = semicircular_family([1], names=("v",))
         table = CumulantTable(E)
         for w in words * 2:
             value = table.word_cumulant(w, ("v",) * w.alphabet.size)
-            assert len(_words) <= 8
+            assert cumulants._query_word.cache_info().currsize <= 8
             assert value == CumulantTable(E).word_cumulant(w, ("v",) * w.alphabet.size)
-        # full, it keeps the first words and checks the others each time
-        assert set(_words) == {(w.seq, w.alphabet.size) for w in words[:8]}
         with pytest.raises(CrossingWordError):
             table.word_cumulant(parse_word("abab"), ("v", "v"))
 
     def test_concurrent_fills_keep_the_bound(self, monkeypatch):
         # more threads than CPUs fill a small empty cache at once, round
         # after round; a lost update of the bound would leave it over-full
-        monkeypatch.setattr("ncwords.cumulants._WORDS_SIZE", 8)
+        cache = small_query_cache()
+        monkeypatch.setattr(cumulants, "_query_word", cache)
         words = [w for k in range(1, 4) for w in enumerate_nc_basis(Alphabet.numeric(k))]
         E = two_var_table(random.Random(22), 3)
         assign = [("a", "b", "a")[: w.alphabet.size] for w in words]
@@ -260,10 +266,10 @@ class TestWordQueryCache:
         try:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for _ in range(200):
-                    _words.clear()
+                    cache.cache_clear()
                     futures = [pool.submit(run, w * len(words) // workers) for w in range(workers)]
                     results = [f.result(timeout=120) for f in futures]
-                    assert len(_words) == 8
+                    assert cache.cache_info().currsize == 8
                     for got in results:
                         assert [got[i] for i in range(len(words))] == expected
         finally:
@@ -656,7 +662,7 @@ class TestPlans:
         assert _compiled.cache_info().misses > compiled.misses
 
     def test_every_cache_is_bounded(self):
-        for cache in (_plan, _groups, _compiled):
+        for cache in (_plan, _groups, _compiled, _query_word):
             assert cache.cache_info().maxsize is not None
 
     def test_free_cumulants_to_order_10_round_trip(self):

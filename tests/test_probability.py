@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ncwords import (
+    CumulantTable,
     MissingMomentError,
     MomentFunctional,
     MomentTableError,
@@ -137,6 +138,17 @@ class TestMomentFunctional:
             with pytest.raises(MissingMomentError) as exc:
                 E.expect(monomial)
             assert exc.value.monomial == monomial
+
+    def test_factors_that_are_not_strings(self):
+        # the message renders each factor by str, so the error itself
+        # raises, not a TypeError from building its message
+        E = MomentFunctional(("a",), {("a",): Fraction(1)})
+        for query in (E.expect, CumulantTable(E).free_cumulant):
+            with pytest.raises(MissingMomentError) as exc:
+                query((1,))
+            assert exc.value.monomial == (1,)
+            assert str(exc.value) == "moment undefined for monomial 1"
+        assert str(MissingMomentError(("a", 2))) == "moment undefined for monomial a*2"
 
     def test_unhashable_factor_is_a_type_error(self):
         E = MomentFunctional(("a",), {("a",): Fraction(1)})
