@@ -64,7 +64,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterator, Sequence
 
-from .probability import MomentFunctional
+from .probability import MomentFunctional, _exact
 from .surjections import _nc_search
 from .words import Word, _check_basis_word, _check_word, _first_occurrence, reduce_seq, restrict_seq
 
@@ -382,7 +382,7 @@ def moments_from_free_cumulants(kappas: Sequence[Fraction | int]) -> list[Fracti
     >>> [str(m) for m in moments_from_free_cumulants([0, 1, 0, 0, 0, 0])]
     ['1', '0', '1', '0', '2', '0', '5']
     """
-    ks = [Fraction(k) for k in kappas]
+    ks = [_exact(k) for k in kappas]
     d = lcm(*[k.denominator for k in ks])
     ks = [d**s // k.denominator * k.numerator for s, k in enumerate(ks, start=1)]
     m = [1]

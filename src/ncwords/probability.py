@@ -13,6 +13,10 @@ Moment tables are loaded from JSON of the form::
 
 with every value a ``p/q`` string.  A rule's values join the table.
 
+Values are exact rationals.  A ``Fraction`` is kept as it is given,
+shared with the caller since it is immutable; any other value, a
+``Fraction`` subclass included, is converted once with ``Fraction``.
+
 Free cumulant tables, which the CLI's ``moments`` command reads, list
 one value per order, each order a positive integer at most once::
 
@@ -34,11 +38,13 @@ class MissingMomentError(LookupError):
     """Raised when a functional has no value for a requested monomial.
 
     ``monomial`` is the tuple of factors; the message writes each factor
-    by ``str``, as ``a*b*a``, or ``1`` for the empty monomial.
+    by ``str``, as ``a*b*a``, and names the empty monomial in words, so
+    it never reads as a one-factor monomial ``1``.
     """
 
     def __init__(self, monomial: tuple[str, ...]) -> None:
-        super().__init__(f"moment undefined for monomial {'*'.join(map(str, monomial)) or '1'}")
+        shown = f"monomial {'*'.join(map(str, monomial))}" if monomial else "the empty monomial"
+        super().__init__(f"moment undefined for {shown}")
         self.monomial = monomial
 
 
@@ -71,6 +77,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(p, q)
 
 
+def _exact(value: object) -> Fraction:
+    """``value`` itself if it is a ``Fraction``, else ``Fraction(value)``,
+    which also turns a ``Fraction`` subclass into a plain one."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def format_rational(x: Fraction) -> str:
     """Render an exact rational as ``p/q`` (always with a denominator)."""
     return f"{x.numerator}/{x.denominator}"
@@ -80,12 +92,13 @@ class MomentFunctional:
     """Expectations of monomials over a fixed variable set.
 
     Values come from an explicit table and, failing that, from an
-    optional generative rule.  A rule's value is converted with
-    ``Fraction``, like a table's, so an ``int`` or a ``float`` gives its
-    exact rational; one that ``Fraction`` rejects is a ``ValueError``
-    naming the monomial.  Rule results are memoized in the same dict as
-    the table, whose entries are only ever written once per key with an
-    identical value, so concurrent readers are safe.
+    optional generative rule.  A ``Fraction``, from either, is kept as it
+    is given; any other value is converted once with ``Fraction``, so an
+    ``int`` or a ``float`` gives its exact rational.  A rule value that
+    ``Fraction`` rejects is a ``ValueError`` naming the monomial.  Rule
+    results are memoized in the same dict as the table, whose entries
+    are only ever written once per key with an identical value, so
+    concurrent readers are safe.
     """
 
     def __init__(
@@ -98,9 +111,7 @@ class MomentFunctional:
         if len(set(self._variables)) != len(self._variables):
             raise ValueError(f"duplicate variable names: {self._variables}")
         self._varset = frozenset(self._variables)
-        self._table: dict[tuple[str, ...], Fraction] = {}
-        for factors, value in (table or {}).items():
-            self._table[tuple(factors)] = Fraction(value)
+        self._table = {tuple(factors): _exact(value) for factors, value in (table or {}).items()}
         unit = self._table.setdefault((), Fraction(1))
         if unit != 1:
             raise ValueError(f"the empty monomial must have expectation 1, got {unit}")
@@ -123,7 +134,7 @@ class MomentFunctional:
             value = self._rule(factors)
             if value is not None:
                 try:
-                    value = Fraction(value)
+                    value = _exact(value)
                 except (TypeError, ValueError, OverflowError):
                     raise ValueError(
                         f"moment rule gave {value!r} for monomial {'*'.join(factors)},"
@@ -145,7 +156,7 @@ def semicircular_family(
     paired positions carry the same variable, each pairing contributing
     the product of its covariances.  Odd-length monomials vanish.
     """
-    covs = [Fraction(c) for c in covariances]
+    covs = [_exact(c) for c in covariances]
     if not covs:
         raise ValueError("at least one variable is required")
     if any(c < 0 for c in covs):

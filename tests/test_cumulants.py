@@ -465,6 +465,18 @@ class TestMomentsFromFreeCumulants:
     def test_all_zero(self):
         assert moments_from_free_cumulants([0, 0, 0]) == [1, 0, 0, 0]
 
+    def test_int_and_fraction_inputs_give_identical_lists(self):
+        ints = [1, -2, 3, 0, 5, -1]
+        fractions = [Fraction(k) for k in ints]
+
+        def typed(values):
+            return [(type(m), m) for m in values]
+
+        expected = typed(moments_from_free_cumulants(ints))
+        assert typed(moments_from_free_cumulants(fractions)) == expected
+        assert all(t is Fraction for t, _ in expected)
+        assert fractions == [Fraction(k) for k in ints]  # inputs untouched
+
     def test_round_trip_with_free_cumulant(self):
         rng = random.Random(108)
         for _ in range(20):

@@ -35,9 +35,14 @@ NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
 
 class TestMonomial:
     def test_str(self):
-        # monomials are factor tuples; errors render them as a*b*a, or 1
-        assert str(MissingMomentError(())) == "moment undefined for monomial 1"
+        # monomials are factor tuples; errors render them as a*b*a, and
+        # the empty monomial in words
+        assert str(MissingMomentError(())) == "moment undefined for the empty monomial"
         assert str(MissingMomentError(("a", "b", "a"))) == "moment undefined for monomial a*b*a"
+
+    def test_empty_monomial_differs_from_a_factor_named_1(self):
+        assert str(MissingMomentError(("1",))) == "moment undefined for monomial 1"
+        assert str(MissingMomentError(())) != str(MissingMomentError(("1",)))
 
 
 class TestRationalSyntax:
@@ -201,11 +206,73 @@ class TestMomentFunctional:
         with pytest.raises(ValueError) as info:
             E.expect(("a", "b", "a"))
         message = str(info.value)
-        assert "a*b*a" in message
-        assert "\n" not in message
+        assert message == f"moment rule gave {value!r} for monomial a*b*a, not a rational"
         # nothing was cached: the next request asks the rule again
         with pytest.raises(ValueError):
             E.expect(("a", "b", "a"))
+
+
+class _Sub(Fraction):
+    """A ``Fraction`` subclass, which a functional stores as a plain
+    ``Fraction``."""
+
+
+# Values that are not plain Fractions, each with the Fraction it means.
+CONVERTED = [
+    pytest.param(3, Fraction(3), id="int"),
+    pytest.param("3/4", Fraction(3, 4), id="str"),
+    pytest.param(0.25, Fraction(1, 4), id="float"),
+    pytest.param(_Sub(1, 2), Fraction(1, 2), id="Fraction-subclass"),
+]
+
+
+class TestExactValues:
+    """A Fraction is kept as it is given; any other value is converted
+    once to a plain Fraction."""
+
+    def test_table_fraction_is_kept(self):
+        table = {("a",): Fraction(1, 3), ("a", "b"): Fraction(-2, 5)}
+        E = MomentFunctional(("a", "b"), table)
+        for monomial, value in table.items():
+            assert E.expect(monomial) is value
+
+    def test_rule_fraction_is_memoized_as_given(self):
+        given = {}
+
+        def rule(factors):
+            given[factors] = Fraction(len(factors), 7)
+            return given[factors]
+
+        E = MomentFunctional(("v",), rule=rule)
+        first = E.expect(("v", "v"))
+        assert first is given[("v", "v")]
+        assert E.expect(("v", "v")) is first
+        assert list(given) == [("v", "v")]
+
+    @pytest.mark.parametrize("value, exact", CONVERTED)
+    def test_table_values_become_plain_fractions(self, value, exact):
+        got = MomentFunctional(("v",), {("v",): value}).expect(("v",))
+        assert type(got) is Fraction and got == exact
+
+    @pytest.mark.parametrize("value, exact", CONVERTED)
+    def test_rule_values_become_plain_fractions(self, value, exact):
+        E = MomentFunctional(("v",), rule=lambda factors: value)
+        got = E.expect(("v",))
+        assert type(got) is Fraction and got == exact
+        assert E.expect(("v",)) is got
+
+    @pytest.mark.parametrize("value, exact", CONVERTED)
+    def test_covariances_become_plain_fractions(self, value, exact):
+        got = semicircular_family([value], names=("s",)).expect(("s", "s"))
+        assert type(got) is Fraction and got == exact
+
+    def test_unit_check_holds_for_every_kind_of_value(self):
+        for unit in (2, "2", 2.0, Fraction(2), _Sub(2)):
+            with pytest.raises(ValueError, match="must have expectation 1, got 2"):
+                MomentFunctional(("v",), {(): unit})
+        for unit in (1, "1", 1.0, Fraction(1), _Sub(1)):
+            got = MomentFunctional(("v",), {(): unit}).expect(())
+            assert type(got) is Fraction and got == 1
 
 
 @functools.cache

@@ -5,8 +5,10 @@ oracles in :mod:`oracles`; the rewrite-closure check establishes that the
 normal form is unique, rather than assuming it.
 """
 
+import collections
 import copy
 import itertools
+import math
 import pickle
 import random
 import sys
@@ -498,6 +500,22 @@ class TestEnumeration:
             # the attained maximum sits one below the cap once k > 1
             attained = max(len(w) for w in default)
             assert attained == (1 if k == 1 else 2 * k - 2)
+
+    @pytest.mark.parametrize("k, total", [(2, 2), (3, 18), (4, 264), (5, 5400)])
+    def test_nc_basis_counts_are_polygon_dissections(self, k, total):
+        # k! * D(k+1, j) words of length k+j, D(N, j) the dissections of
+        # a convex N-gon by j diagonals (Kirkman-Cayley, OEIS A033282):
+        # none longer than 2k-2, k! times the little Schroeder numbers
+        # (A001003) in all
+        def dissections(n, j):
+            return math.comb(n - 3, j) * math.comb(n + j - 1, j) // (j + 1)
+
+        words = enumerate_nc_basis(Alphabet.numeric(k), 2 * k + 1)
+        by_length = collections.Counter(len(w) for w in words)
+        expected = {k + j: math.factorial(k) * dissections(k + 1, j) for j in range(k - 1)}
+        assert by_length == expected
+        assert max(by_length) == 2 * k - 2
+        assert sum(by_length.values()) == total
 
     def test_max_len_validation(self):
         with pytest.raises(ValueError):
