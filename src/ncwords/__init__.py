@@ -48,10 +48,8 @@ from .cumulants import (
     CumulantTable,
     boolean_cumulant,
     classical_cumulant,
-    free_cumulant,
     free_cumulant_direct,
     moments_from_free_cumulants,
-    word_cumulant,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +93,6 @@ __all__ = [
     "enumerate_word_basis",
     "format_rational",
     "format_term",
-    "free_cumulant",
     "free_cumulant_direct",
     "is_noncrossing",
     "is_noncrossing_seq",
@@ -111,5 +108,4 @@ __all__ = [
     "render_word",
     "restrict",
     "semicircular_family",
-    "word_cumulant",
 ]

@@ -1,14 +1,14 @@
 """Cumulants from words, and direct partition-sum counterparts.
 
-The central operation is the word cumulant: for a reduced pangrammatic
-non-crossing word ``w`` with one variable per letter, it is defined by
-the triangular system
+The central operation is the word cumulant ``kappa(w, assign)``: for a
+reduced pangrammatic non-crossing word ``w`` with one variable per
+letter, it is defined by the triangular system
 
     E(v_1 v_2 ... v_k)
         = sum over canonical surjections f of the alphabet
               with a non-crossing unreduced image f(w)
           of the product over blocks B of
-              word_cumulant(reduce(w restricted to B), assign on B)
+              kappa(reduce(w restricted to B), assign on B)
 
 where ``v_i`` is the variable assigned to the ``i``-th letter of ``w``
 in order of first occurrence.
@@ -36,7 +36,8 @@ by a query's variables, for the 1024 most recent keys; a read's order
 is ``_compiled`` of the read, on the pattern's variables.  A fourth
 cache, ``_query_word``, checks and relabels the 8192 most recent words.
 
-A :class:`CumulantTable` reads each moment once and evaluates a query on
+:class:`CumulantTable` is the one way in.  Its ``word_cumulant`` and
+``free_cumulant`` read each moment once and evaluate a query on
 integers: ``D^k`` times a cumulant of ``k`` letters is the sum of
 ``c * prod D^|B| E(v_B)``, ``D`` the lcm of the moments' denominators.
 
@@ -64,7 +65,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterator, Sequence
 
-from .probability import MomentFunctional, _exact
+from .probability import MomentFunctional, _exact, _nonempty
 from .surjections import _nc_search
 from .words import Word, _check_basis_word, _check_word, _first_occurrence, reduce_seq, restrict_seq
 
@@ -239,20 +240,8 @@ class CumulantTable:
 
     def free_cumulant(self, variables: Sequence[str]) -> Fraction:
         """The free cumulant, via the ascending word."""
-        vs = tuple(variables)
-        if not vs:
-            raise ValueError("at least one variable is required")
+        vs = _nonempty(variables)
         return self._cumulant(tuple(range(len(vs))), vs)
-
-
-def word_cumulant(E: MomentFunctional, w: Word, assign: Sequence[str]) -> Fraction:
-    """One-shot word cumulant; use :class:`CumulantTable` for batches."""
-    return CumulantTable(E).word_cumulant(w, assign)
-
-
-def free_cumulant(E: MomentFunctional, variables: Sequence[str]) -> Fraction:
-    """The free cumulant of the given variables, via the word recursion."""
-    return CumulantTable(E).free_cumulant(variables)
 
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -287,10 +276,7 @@ def free_cumulant_direct(E: MomentFunctional, variables: Sequence[str]) -> Fract
     Solves ``E(v1...vN) = sum over non-crossing partitions of the product
     of block cumulants`` triangularly.  Independent of the word route.
     """
-    vs = tuple(variables)
-    if not vs:
-        raise ValueError("at least one variable is required")
-    return _direct(E, vs, {}, {})
+    return _direct(E, _nonempty(variables), {}, {})
 
 
 def _direct(
@@ -329,9 +315,7 @@ def boolean_cumulant(E: MomentFunctional, variables: Sequence[str]) -> Fraction:
     moment, so ``E(a_1..a_n) = sum over k of eta(a_1..a_k) E(a_k+1..a_n)``
     (Speicher and Woroudi, 1997).  Solved for every prefix in turn.
     """
-    vs = tuple(variables)
-    if not vs:
-        raise ValueError("at least one variable is required")
+    vs = _nonempty(variables)
     eta: list[Fraction] = []
     for k in range(1, len(vs) + 1):
         eta.append(E.expect(vs[:k]) - sum(eta[j - 1] * E.expect(vs[j:k]) for j in range(1, k)))
@@ -352,9 +336,7 @@ def classical_cumulant(E: MomentFunctional, variables: Sequence[str]) -> Fractio
     >>> [str(classical_cumulant(E, ("v",) * n)) for n in (1, 2, 3)]
     ['1', '1', '1']
     """
-    vs = tuple(variables)
-    if not vs:
-        raise ValueError("at least one variable is required")
+    vs = _nonempty(variables)
     if len(set(vs)) != 1:
         raise ValueError(
             f"classical cumulants take powers of a single variable, got {sorted(set(vs))}"

@@ -13,10 +13,6 @@ Moment tables are loaded from JSON of the form::
 
 with every value a ``p/q`` string.  A rule's values join the table.
 
-Values are exact rationals.  A ``Fraction`` is kept as it is given,
-shared with the caller since it is immutable; any other value, a
-``Fraction`` subclass included, is converted once with ``Fraction``.
-
 Free cumulant tables, which the CLI's ``moments`` command reads, list
 one value per order, each order a positive integer at most once::
 
@@ -83,6 +79,14 @@ def _exact(value: object) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _nonempty(variables: Sequence) -> tuple:
+    """``variables`` as a tuple, refused with one message when empty."""
+    vs = tuple(variables)
+    if not vs:
+        raise ValueError("at least one variable is required")
+    return vs
+
+
 def format_rational(x: Fraction) -> str:
     """Render an exact rational as ``p/q`` (always with a denominator)."""
     return f"{x.numerator}/{x.denominator}"
@@ -93,7 +97,8 @@ class MomentFunctional:
 
     Values come from an explicit table and, failing that, from an
     optional generative rule.  A ``Fraction``, from either, is kept as it
-    is given; any other value is converted once with ``Fraction``, so an
+    is given, shared since it is immutable; any other value, a subclass
+    of ``Fraction`` included, is converted once with ``Fraction``, so an
     ``int`` or a ``float`` gives its exact rational.  A rule value that
     ``Fraction`` rejects is a ``ValueError`` naming the monomial.  Rule
     results are memoized in the same dict as the table, whose entries
@@ -109,7 +114,7 @@ class MomentFunctional:
     ) -> None:
         self._variables = tuple(variables)
         if len(set(self._variables)) != len(self._variables):
-            raise ValueError(f"duplicate variable names: {self._variables}")
+            raise ValueError(f"duplicate variable names: {_echo(self._variables)}")
         self._varset = frozenset(self._variables)
         self._table = {tuple(factors): _exact(value) for factors, value in (table or {}).items()}
         unit = self._table.setdefault((), Fraction(1))
@@ -156,11 +161,9 @@ def semicircular_family(
     paired positions carry the same variable, each pairing contributing
     the product of its covariances.  Odd-length monomials vanish.
     """
-    covs = [_exact(c) for c in covariances]
-    if not covs:
-        raise ValueError("at least one variable is required")
+    covs = [_exact(c) for c in _nonempty(covariances)]
     if any(c < 0 for c in covs):
-        raise ValueError(f"covariances must be nonnegative: {covs}")
+        raise ValueError(f"covariances must be nonnegative: {_echo(covs)}")
     if names is None:
         names = ("x",) if len(covs) == 1 else tuple(f"x{i}" for i in range(1, len(covs) + 1))
     names = tuple(names)
@@ -221,15 +224,17 @@ def load_moments(path: str) -> MomentFunctional:
         unknown = [v for v in word if v not in varset]
         if unknown:
             raise MomentTableError(
-                f"moment table {path}: unknown variables {unknown} in entry {word}"
+                f"moment table {path}: unknown variables {_echo(unknown)} in entry {_echo(word)}"
             )
         key = tuple(word)
         if key in table:
-            raise MomentTableError(f"moment table {path}: duplicate entry for monomial {list(key)}")
+            raise MomentTableError(
+                f"moment table {path}: duplicate entry for monomial {_echo(word)}"
+            )
         try:
             value = parse_rational(entry["value"])
         except MomentTableError as exc:
-            raise MomentTableError(f"moment table {path}: entry {word}: {exc}") from None
+            raise MomentTableError(f"moment table {path}: entry {_echo(word)}: {exc}") from None
         if key == () and value != 1:
             raise MomentTableError(
                 f"moment table {path}: the empty monomial must have value 1/1, got {entry['value']}"
@@ -264,7 +269,8 @@ def _load_cumulants(path: str) -> dict[int, Fraction]:
 def _read_json(path: str, what: str) -> object:
     """The JSON value in the file at ``path``.  Any ``ValueError`` of
     the parse (invalid JSON, bytes that are not UTF-8, an integer
-    literal longer than ``int`` converts) is a ``MomentTableError`` that
+    literal longer than ``int`` converts), or its ``RecursionError`` on
+    arrays or objects nested too deep, is a ``MomentTableError`` that
     names the file as ``what``.  An int ``path`` is refused: ``open``
     would take it for a file descriptor, read it and close it."""
     if isinstance(path, int):
@@ -272,5 +278,5 @@ def _read_json(path: str, what: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MomentTableError(f"{what} {path}: invalid JSON ({exc})") from None

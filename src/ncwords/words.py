@@ -462,7 +462,7 @@ def _basis_dfs(alphabet: Alphabet, max_len: int | None, noncrossing: bool) -> li
         raise TypeError(f"alphabet must be an Alphabet, got {_echo(alphabet)}")
     k = alphabet.size
     if max_len is None and noncrossing:
-        max_len = 2 * k - 1
+        max_len = max(1, 2 * k - 2)
     _check_size(max_len, "max_len")
     out: list[Word] = []
     seq: list[int] = []
@@ -499,9 +499,14 @@ def enumerate_word_basis(alphabet: Alphabet, max_len: int) -> list[Word]:
 def enumerate_nc_basis(alphabet: Alphabet, max_len: int | None = None) -> list[Word]:
     """All pangrammatic reduced non-crossing words of length <= ``max_len``.
 
-    ``max_len`` defaults to ``2k - 1`` for an alphabet of size ``k``; the
-    test suite checks that no longer word qualifies at small sizes, so
-    the default enumerates the complete finite basis there.
+    ``max_len`` defaults to ``2k - 2`` (1 if ``k = 1``), the longest
+    such word, so the default is the whole finite basis.  Proof for
+    ``k >= 2``: the letter ``x`` whose first occurrence comes last
+    occurs once, since a letter between two ``x`` occurred before and
+    would alternate with it.  Deleting ``x``, then one of its neighbours
+    if they are equal, or the last letter if it now equals the first,
+    leaves such a word on the other ``k - 1`` letters, at most 2 letters
+    shorter; on two letters only ``ab`` and ``ba`` qualify.
     """
     return _basis_dfs(alphabet, max_len, noncrossing=True)
 

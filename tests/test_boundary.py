@@ -8,6 +8,7 @@ examples are derandomized and their number fixed, so the file runs the
 same cases every time; enumerator sizes stay at n <= 8.
 """
 
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,6 +21,8 @@ from ncwords import (
     CanonicalSurjection,
     CumulantTable,
     EmptyRestrictionError,
+    MomentFunctional,
+    MomentTableError,
     Word,
     apply_map,
     check_coassociativity,
@@ -35,6 +38,7 @@ from ncwords import (
     is_noncrossing,
     is_pangrammatic,
     is_reduced,
+    load_moments,
     parse_word,
     peak_word,
     random_basis_word,
@@ -42,7 +46,6 @@ from ncwords import (
     render_word,
     restrict,
     semicircular_family,
-    word_cumulant,
 )
 
 from oracles import BELL, CATALAN
@@ -127,16 +130,12 @@ class TestBoundary:
 
     @FUZZ
     @given(st.one_of(values, st.sampled_from(["a", "aba", "abab", "abcb"]).map(parse_word)))
-    @pytest.mark.parametrize(
-        "cumulant",
-        [word_cumulant, lambda E, w, assign: CumulantTable(E).word_cumulant(w, assign)],
-        ids=["function", "method"],
-    )
-    def test_word_cumulant(self, cumulant, w):
+    @pytest.mark.parametrize("table", [CumulantTable], ids=["method"])
+    def test_word_cumulant(self, table, w):
         # the semicircle has a moment for every monomial in its variable
         E = semicircular_family([1], names=("v",))
         assign = ("v",) * (w.alphabet.size if isinstance(w, Word) else 1)
-        result = outcome(cumulant, E, w, assign)
+        result = outcome(table(E).word_cumulant, w, assign)
         if isinstance(result, Fraction):
             assert isinstance(w, Word)
 
@@ -158,10 +157,10 @@ class TestBoundary:
         result = outcome(enumerate_, alphabet, max_len)
         if not isinstance(result, Exception):
             assert isinstance(alphabet, Alphabet)
-            # only the non-crossing basis has a default length, 2k - 1
+            # only the non-crossing basis has a default length, 2k - 2
             if max_len is None:
                 assert enumerate_ is enumerate_nc_basis
-                max_len = 2 * alphabet.size - 1
+                max_len = max(1, 2 * alphabet.size - 2)
             assert type(max_len) is int
             for w in result:
                 assert is_pangrammatic(w) and is_reduced(w) and len(w) <= max_len
@@ -232,7 +231,9 @@ NOT_WORDS = {
     "render_word": lambda: render_word("ab"),
     "reduce_word": lambda: reduce_word("ab"),
     "apply_map": lambda: apply_map("ab", {0: 0}, Alphabet.numeric(1)),
-    "word_cumulant": lambda: word_cumulant(semicircular_family([1], names=("v",)), "ab", "vv"),
+    "word_cumulant": lambda: CumulantTable(semicircular_family([1], names=("v",))).word_cumulant(
+        "ab", "vv"
+    ),
     "restrict": lambda: restrict("ab", [0]),
     "is_reduced": lambda: is_reduced("ab"),
     "is_pangrammatic": lambda: is_pangrammatic("ab"),
@@ -291,9 +292,20 @@ def cut(value):
 
 
 NUMBERS = tuple(map(str, range(3000)))
+A_WORD = ["a"] * 3000
 
-# (call, exception, its message): each value type's refusal of a long
-# input echoes it cut, as parse_word does.
+
+def load_table(moments):
+    """``load_moments`` of a table on the variable ``a`` with these
+    entries, written to ``table.json`` in the working directory."""
+    with open("table.json", "w") as fh:
+        json.dump({"vars": ["a"], "moments": moments}, fh)
+    return load_moments("table.json")
+
+
+# (call, exception, its message): each value type's, moment functional's
+# and moment table's refusal of a long input echoes it cut, as
+# parse_word does.
 LONG_ECHOES = {
     "restrict-deletes-every-letter": (
         lambda: restrict(Word(Alphabet.numeric(3), (0, 1) * 2500), [2]),
@@ -375,11 +387,38 @@ LONG_ECHOES = {
         TypeError,
         f"n must be an int, got {cut('9' * 100)}",
     ),
+    "functional-duplicate-names": (
+        lambda: MomentFunctional(("a",) * 5000),
+        ValueError,
+        f"duplicate variable names: {cut(('a',) * 5000)}",
+    ),
+    "semicircular-negative-covariances": (
+        lambda: semicircular_family([-1] * 3000),
+        ValueError,
+        f"covariances must be nonnegative: {cut([Fraction(-1)] * 3000)}",
+    ),
+    "table-unknown-variables": (
+        lambda: load_table([{"word": A_WORD + ["c"], "value": "1/2"}]),
+        MomentTableError,
+        f"moment table table.json: unknown variables ['c'] in entry {cut(A_WORD + ['c'])}",
+    ),
+    "table-duplicate-entry": (
+        lambda: load_table([{"word": A_WORD, "value": "1/2"}] * 2),
+        MomentTableError,
+        f"moment table table.json: duplicate entry for monomial {cut(A_WORD)}",
+    ),
+    "table-entry-value": (
+        lambda: load_table([{"word": A_WORD, "value": "1/0"}]),
+        MomentTableError,
+        f"moment table table.json: entry {cut(A_WORD)}: zero denominator in rational value '1/0'",
+    ),
 }
 
 
 @pytest.mark.parametrize("call, error, message", LONG_ECHOES.values(), ids=LONG_ECHOES)
-def test_long_input_is_echoed_cut(call, error, message):
+def test_long_input_is_echoed_cut(call, error, message, tmp_path, monkeypatch):
+    # the table rows write their file in a fresh working directory
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message

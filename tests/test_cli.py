@@ -463,6 +463,23 @@ class TestMomentsCommand:
         )
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("cumulants", "--kind", "free", "--args", "v", "--moments"), "moment table"),
+        (("moments", "--up-to", "1", "--cumulants"), "cumulant table"),
+    ],
+    ids=["cumulants", "moments"],
+)
+def test_deeply_nested_json_is_one_line(capsys, tmp_path, argv, what):
+    # json.load ends in a RecursionError on 100000 nested arrays
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {what} {path}: invalid JSON (") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("length", [64, 5000])
 @pytest.mark.parametrize(
     "case",

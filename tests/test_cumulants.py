@@ -31,14 +31,12 @@ from ncwords import (
     decompose_noncrossing,
     enumerate_nc_basis,
     enumerate_nc_partitions,
-    free_cumulant,
     free_cumulant_direct,
     moments_from_free_cumulants,
     parse_word,
     peak_word,
     render_word,
     semicircular_family,
-    word_cumulant,
 )
 
 from ncwords import cumulants
@@ -67,35 +65,35 @@ def single_table(*moments):
 
 
 def free_kappas(E, var, up_to):
-    return [free_cumulant(E, (var,) * n) for n in range(1, up_to + 1)]
+    return [CumulantTable(E).free_cumulant((var,) * n) for n in range(1, up_to + 1)]
 
 
 class TestWordCumulant:
     def test_singleton_is_first_moment(self):
         E = single_table(Fraction(1, 2))
-        assert word_cumulant(E, parse_word("a"), ("v",)) == Fraction(1, 2)
+        assert CumulantTable(E).word_cumulant(parse_word("a"), ("v",)) == Fraction(1, 2)
 
     def test_second_free_cumulant_value(self):
         E = single_table(Fraction(1, 2), Fraction(1, 3))
-        assert free_cumulant(E, ("v", "v")) == Fraction(1, 12)
+        assert CumulantTable(E).free_cumulant(("v", "v")) == Fraction(1, 12)
         assert free_cumulant_direct(E, ("v", "v")) == Fraction(1, 12)
 
     def test_centered_third_cumulant_is_third_moment(self):
         E = single_table(0, Fraction(1, 3), Fraction(1, 5))
-        assert free_cumulant(E, ("v",) * 3) == Fraction(1, 5)
+        assert CumulantTable(E).free_cumulant(("v",) * 3) == Fraction(1, 5)
 
     def test_validation(self):
         E = single_table(1, 1)
         with pytest.raises(CrossingWordError):
-            word_cumulant(E, parse_word("abab"), ("v", "v"))
+            CumulantTable(E).word_cumulant(parse_word("abab"), ("v", "v"))
         with pytest.raises(ValueError):
-            word_cumulant(E, parse_word("aa"), ("v",))
+            CumulantTable(E).word_cumulant(parse_word("aa"), ("v",))
         with pytest.raises(ValueError):
-            word_cumulant(E, Word(Alphabet.numeric(2), (0,)), ("v", "v"))
+            CumulantTable(E).word_cumulant(Word(Alphabet.numeric(2), (0,)), ("v", "v"))
         with pytest.raises(ValueError):
-            word_cumulant(E, parse_word("ab"), ("v",))
+            CumulantTable(E).word_cumulant(parse_word("ab"), ("v",))
         with pytest.raises(ValueError):
-            free_cumulant(E, ())
+            CumulantTable(E).free_cumulant(())
 
     @pytest.mark.parametrize(
         "make_word, error, message",
@@ -117,7 +115,7 @@ class TestWordCumulant:
         w = make_word()
         E = single_table(1, 1)
         for call in (
-            lambda: word_cumulant(E, w, ("v",) * w.alphabet.size),
+            lambda: CumulantTable(E).word_cumulant(w, ("v",) * w.alphabet.size),
             lambda: decompose_noncrossing(w),
             lambda: check_coassociativity(w, noncrossing=True),
         ):
@@ -130,7 +128,8 @@ class TestWordCumulant:
         E = two_var_table(rng, 4, names=("x", "y"))
         ba = Word(Alphabet(("a", "b")), (1, 0))
         # letters rank b first, so this is the cumulant of (y, x)
-        assert word_cumulant(E, ba, ("x", "y")) == free_cumulant(E, ("y", "x"))
+        got = CumulantTable(E).word_cumulant(ba, ("x", "y"))
+        assert got == CumulantTable(E).free_cumulant(("y", "x"))
 
     def test_reads_letters_in_first_occurrence_order(self):
         # ba ranks b first, so with a -> x and b -> y it reads E(y x)
@@ -144,8 +143,8 @@ class TestWordCumulant:
             },
         )
         ba = Word(Alphabet(("a", "b")), (1, 0))
-        assert word_cumulant(E, ba, ("x", "y")) == Fraction(2, 5)
-        assert word_cumulant(E, parse_word("ab"), ("x", "y")) == Fraction(1, 5)
+        assert CumulantTable(E).word_cumulant(ba, ("x", "y")) == Fraction(2, 5)
+        assert CumulantTable(E).word_cumulant(parse_word("ab"), ("x", "y")) == Fraction(1, 5)
 
     def test_invariant_under_relabelling(self):
         rng = random.Random(77)
@@ -161,7 +160,8 @@ class TestWordCumulant:
             assign2 = [""] * k
             for i, new in enumerate(perm):
                 assign2[new] = assign[i]
-            assert word_cumulant(E, relabelled, assign2) == word_cumulant(E, w, assign), w
+            got = CumulantTable(E).word_cumulant(relabelled, assign2)
+            assert got == CumulantTable(E).word_cumulant(w, assign), w
 
     def test_table_reuse_matches_fresh_computations(self):
         rng = random.Random(4)
@@ -174,7 +174,7 @@ class TestWordCumulant:
         ]
         first = [table.word_cumulant(w, assign) for w, assign in queries]
         again = [table.word_cumulant(w, assign) for w, assign in queries]
-        fresh = [word_cumulant(E, w, assign) for w, assign in queries]
+        fresh = [CumulantTable(E).word_cumulant(w, assign) for w, assign in queries]
         assert first == again == fresh
 
 
@@ -184,8 +184,9 @@ def small_query_cache():
 
 
 class TestWordQueryCache:
-    # word_cumulant checks and relabels each word once per process, by
-    # its ids and alphabet size (_query_word); a refusal is not kept
+    # CumulantTable.word_cumulant checks and relabels each word once per
+    # process, by its ids and alphabet size (_query_word); a refusal is
+    # not kept
     @pytest.mark.parametrize(
         "valid, seq, names, message",
         [
@@ -203,9 +204,8 @@ class TestWordQueryCache:
         good = Word(Alphabet.numeric(max(valid) + 1), valid)
 
         def query_valid():
-            assert table.word_cumulant(good, ("v",) * good.alphabet.size) == free_cumulant(
-                E, ("v",) * good.alphabet.size
-            )
+            args = ("v",) * good.alphabet.size
+            assert table.word_cumulant(good, args) == CumulantTable(E).free_cumulant(args)
 
         def refuse(letters):
             w = Word(Alphabet(letters), seq)
@@ -282,7 +282,8 @@ class TestFreeAgainstDirect:
         for _ in range(25):
             E = single_var_table(rng, 5)
             for n in range(1, 6):
-                assert free_cumulant(E, ("v",) * n) == free_cumulant_direct(E, ("v",) * n)
+                args = ("v",) * n
+                assert CumulantTable(E).free_cumulant(args) == free_cumulant_direct(E, args)
 
     def test_two_variable_tables(self):
         rng = random.Random(101)
@@ -290,7 +291,7 @@ class TestFreeAgainstDirect:
             E = two_var_table(rng, 5)
             for _ in range(4):
                 args = tuple(rng.choice(("a", "b")) for _ in range(rng.randint(1, 5)))
-                assert free_cumulant(E, args) == free_cumulant_direct(E, args)
+                assert CumulantTable(E).free_cumulant(args) == free_cumulant_direct(E, args)
 
     def test_third_and_fourth_closed_forms(self):
         rng = random.Random(102)
@@ -305,8 +306,8 @@ class TestFreeAgainstDirect:
                 + 10 * m[1] ** 2 * m[2]
                 - 5 * m[1] ** 4
             )
-            assert free_cumulant(E, ("v",) * 3) == k3
-            assert free_cumulant(E, ("v",) * 4) == k4
+            assert CumulantTable(E).free_cumulant(("v",) * 3) == k3
+            assert CumulantTable(E).free_cumulant(("v",) * 4) == k4
 
     def test_defining_equation_forward(self):
         # the moment of v_1..v_N equals the sum over non-crossing
@@ -320,7 +321,7 @@ class TestFreeAgainstDirect:
                 for part in enumerate_nc_partitions(n):
                     prod = Fraction(1)
                     for block in part.blocks():
-                        prod *= free_cumulant(E, tuple(args[e - 1] for e in block))
+                        prod *= CumulantTable(E).free_cumulant(tuple(args[e - 1] for e in block))
                     total += prod
                 assert total == E.expect(args)
 
@@ -448,7 +449,7 @@ class TestSemicircleCumulants:
             for args in itertools.product(("a", "b"), repeat=n):
                 if len(set(args)) < 2:
                     continue
-                assert free_cumulant(E, args) == 0, args
+                assert CumulantTable(E).free_cumulant(args) == 0, args
 
 
 class TestMomentsFromFreeCumulants:
@@ -541,9 +542,8 @@ class TestMultilinearity:
                     with_x[slot] = "x"
                     with_y = list(args)
                     with_y[slot] = "y"
-                    assert free_cumulant(E, mixed) == alpha * free_cumulant(
-                        E, with_x
-                    ) + beta * free_cumulant(E, with_y)
+                    kappa = CumulantTable(E).free_cumulant
+                    assert kappa(mixed) == alpha * kappa(with_x) + beta * kappa(with_y)
 
 
 class TestCumulantsOfWordsBeyondTheFamilies:

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports in the package, a pinned import
-graph between its modules, a clean ``__all__``, and a cold import of the
-CLI that loads only what the cumulant and word commands run."""
+graph between its modules, the package names that the test oracles use,
+a clean ``__all__``, and a cold import of the CLI that loads only what
+the cumulant and word commands run."""
 
 import ast
 import os
@@ -64,6 +65,20 @@ def test_import_graph():
         ("probability", "words"),
         ("surjections", "words"),
     }
+
+
+def test_oracles_take_no_route_they_check():
+    # tests/oracles.py checks the package's routes, so it takes from the
+    # package only the value types and the word operations of its lemma
+    # checks: no cumulant or decomposition route
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "ncwords")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ncwords":
+            names.update(a.name for a in node.names)
+    assert names == {"Alphabet", "MomentFunctional", "Word", "apply_map", "reduce_word", "restrict"}
 
 
 def test_package_modules_found():

@@ -17,7 +17,6 @@ from ncwords import (
     boolean_cumulant,
     enumerate_nc_partitions,
     format_rational,
-    free_cumulant,
     load_moments,
     parse_rational,
     semicircular_family,
@@ -188,7 +187,7 @@ class TestMomentFunctional:
         # order 2 on; a float from a rule is read as its exact rational
         E = MomentFunctional(("v",), rule=lambda factors: 0.5 ** len(factors))
         assert E.expect(("v", "v", "v")) == Fraction(1, 8)
-        kappas = [free_cumulant(E, ("v",) * n) for n in range(1, 5)]
+        kappas = [CumulantTable(E).free_cumulant(("v",) * n) for n in range(1, 5)]
         assert kappas == [Fraction(1, 2), 0, 0, 0]
         assert all(type(kappa) is Fraction for kappa in kappas)
 
@@ -448,6 +447,19 @@ class TestLoadMoments:
             load_moments(path)
         message = str(info.value)
         assert message.startswith(f"moment table {path}: invalid JSON (Exceeds the limit (")
+        assert "\n" not in message and len(message) < 200 + len(path)
+
+    @pytest.mark.parametrize(
+        "read, what", [(load_moments, "moment table"), (_load_cumulants, "cumulant table")]
+    )
+    def test_deeply_nested_json_names_the_table(self, tmp_path, read, what):
+        # json.load raises a RecursionError, not a ValueError, on arrays
+        # nested past the recursion limit
+        path = self.write(tmp_path, "[" * 100000 + "]" * 100000)
+        with pytest.raises(MomentTableError) as info:
+            read(path)
+        message = str(info.value)
+        assert message.startswith(f"{what} {path}: invalid JSON (maximum recursion depth")
         assert "\n" not in message and len(message) < 200 + len(path)
 
     def test_missing_file_is_an_os_error(self, tmp_path):

@@ -490,14 +490,14 @@ class TestEnumeration:
             assert got == sorted(got)
 
     def test_nc_basis_length_bound(self):
-        # no pangrammatic reduced non-crossing word is longer than 2k-1:
+        # no pangrammatic reduced non-crossing word is longer than 2k-2:
         # searching with extra headroom finds nothing new
         for k in range(1, 5):
             alphabet = Alphabet.numeric(k)
             default = enumerate_nc_basis(alphabet)
             padded = enumerate_nc_basis(alphabet, 2 * k + 2)
             assert padded == default
-            # the attained maximum sits one below the cap once k > 1
+            # the attained maximum is the default length once k > 1
             attained = max(len(w) for w in default)
             assert attained == (1 if k == 1 else 2 * k - 2)
 
