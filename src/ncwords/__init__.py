@@ -5,10 +5,10 @@ to normal form, decomposes reduced pangrammatic words along canonical
 surjections of their alphabet, restricts the decomposition to the
 non-crossing quotient, and solves the resulting triangular systems to
 compute word cumulants.  Specializing the word recovers free cumulants
-(ascending word) and Boolean cumulants (peak word).  A non-crossing
-partition sum for free cumulants, closed recursions for Boolean and
-classical cumulants, and the forward free moment map are included for
-comparison and cross-checking.  All arithmetic is exact rational.
+(ascending word) and Boolean cumulants (peak word).  Recursions on the
+block holding the first element, for free, Boolean and classical
+cumulants and the forward free moment map, are included for comparison
+and cross-checking.  All arithmetic is exact rational.
 """
 
 from .words import (

@@ -1,8 +1,8 @@
 """Command line front end.
 
 One subcommand per library operation; output is deterministic and
-scriptable.  Exit codes: 0 on success, 1 on any validation error
-(including usage errors), 2 when a required moment is missing.
+scriptable.  Exit codes: 0 on success, 1 on invalid input, a usage
+error or a search past Python's recursion limit, 2 on a missing moment.
 """
 
 from __future__ import annotations
@@ -257,6 +257,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # A search deeper than Python's recursion limit: `surjections 1200`.
+        message = "input too large for a recursive search (maximum recursion depth exceeded)"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Cumulants from words, and direct partition-sum counterparts.
+"""Cumulants from words, and first-block recursions to check them.
 
 The central operation is the word cumulant ``kappa(w, assign)``: for a
 reduced pangrammatic non-crossing word ``w`` with one variable per
@@ -46,15 +46,14 @@ Specializing the word recovers the classical families:
 - the ascending word ``1, 2, ..., N`` gives free cumulants, and
 - the peak word ``1, 2, ..., N, N-1, ..., 2`` gives Boolean cumulants.
 
-``free_cumulant_direct`` solves the free moment-cumulant system by
-direct enumeration of non-crossing partitions.  ``boolean_cumulant``,
-``classical_cumulant`` and ``moments_from_free_cumulants`` use the
-closed recursions on the block holding the first element.  The last
-two run on integers scaled by a power of the lcm of their inputs'
-denominators; ``boolean_cumulant`` and ``free_cumulant_direct`` stay on
-``Fraction`` values, as the oracles of the peak-word and free routes.
-None of them shares logic with the word cumulants, which is what makes
-the agreement tests meaningful.
+``free_cumulant_direct``, ``boolean_cumulant``, ``classical_cumulant``
+and ``moments_from_free_cumulants`` recurse on the block holding the
+first element; the first reads moments alone and enumerates no
+partition.  The last two run on integers scaled by a power of the lcm
+of their inputs' denominators; the first two stay on ``Fraction``
+values, as the oracles of the free and peak-word routes.  None of them
+shares logic with the word cumulants, which is what makes the agreement
+tests meaningful.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import functools
 import threading
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .probability import MomentFunctional, _exact, _nonempty
 from .surjections import _nc_search
@@ -244,49 +243,23 @@ class CumulantTable:
         return self._cumulant(tuple(range(len(vs))), vs)
 
 
-Blocks = tuple[tuple[int, ...], ...]
-
-
-def _iter_noncrossing_blocks(elements: tuple[int, ...]) -> Iterator[Blocks]:
-    """Non-crossing partitions of an ordered tuple of positions.
-
-    The block of the first element is chosen freely; its chosen elements
-    cut the remainder into gaps, and any other block must stay inside a
-    single gap, so the gaps partition independently.
-    """
-    if not elements:
-        yield ()
-        return
-    first, rest = elements[0], elements[1:]
-    r = len(rest)
-    for mask in range(1 << r):
-        chosen = [i for i in range(r) if mask >> i & 1]
-        block = (first,) + tuple(rest[i] for i in chosen)
-        cuts = [-1] + chosen + [r]
-        combos: list[Blocks] = [()]
-        for a, b in zip(cuts, cuts[1:]):
-            combos = [p + sub for sub in _iter_noncrossing_blocks(rest[a + 1 : b]) for p in combos]
-        for tail in combos:
-            yield (block,) + tail
-
-
 def free_cumulant_direct(E: MomentFunctional, variables: Sequence[str]) -> Fraction:
-    """The free cumulant by direct non-crossing partition recursion.
+    """The free cumulant by the first-block recursion on moments.
 
-    Solves ``E(v1...vN) = sum over non-crossing partitions of the product
-    of block cumulants`` triangularly.  Independent of the word route.
+    Grouped by the block ``V`` holding the first position, the other
+    blocks of a non-crossing partition fall into the gaps that ``V``
+    leaves, after each of its elements, and each gap's partitions sum to
+    its moment (Nica and Speicher, 2006): ``kappa(t) = E(t) - sum over
+    V != t of kappa(t_V) prod E(t_gap)``.  It reads ``E(t)``, then each
+    ``V`` in increasing bit-mask order before its nonempty gaps.
     """
-    return _direct(E, _nonempty(variables), {}, {})
+    return _direct(E, _nonempty(variables), {})
 
 
 def _direct(
-    E: MomentFunctional,
-    t: tuple[str, ...],
-    memo: dict[tuple[str, ...], Fraction],
-    partitions: dict[int, list[Blocks]],
+    E: MomentFunctional, t: tuple[str, ...], memo: dict[tuple[str, ...], Fraction]
 ) -> Fraction:
-    """``free_cumulant_direct`` of ``t``, with the call's memo and its
-    partitions into two or more blocks, enumerated once per length.  A
+    """``free_cumulant_direct`` of ``t`` with the call's memo.  A
     module-level function, not a closure, so that the memo is freed on
     return instead of living on in a reference cycle."""
     hit = memo.get(t)
@@ -294,15 +267,13 @@ def _direct(
         return hit
     total = E.expect(t)
     n = len(t)
-    if n not in partitions:
-        partitions[n] = [
-            blocks for blocks in _iter_noncrossing_blocks(tuple(range(n))) if len(blocks) > 1
-        ]
-    for blocks in partitions[n]:
-        prod = Fraction(1)
-        for b in blocks:
-            prod *= _direct(E, tuple(t[i] for i in b), memo, partitions)
-        total -= prod
+    for mask in range((1 << (n - 1)) - 1):
+        block = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1]
+        term = _direct(E, tuple([t[i] for i in block]), memo)
+        for a, b in zip(block, block[1:] + [n]):
+            if b > a + 1:
+                term *= E.expect(t[a + 1 : b])
+        total -= term
     memo[t] = total
     return total
 

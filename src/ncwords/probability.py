@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .words import _echo
+from .words import _ECHO, _echo
 
 
 class MissingMomentError(LookupError):
@@ -236,8 +236,10 @@ def load_moments(path: str) -> MomentFunctional:
         except MomentTableError as exc:
             raise MomentTableError(f"moment table {path}: entry {_echo(word)}: {exc}") from None
         if key == () and value != 1:
+            text = entry["value"]  # unquoted unless it is cut short
+            shown = text if len(text) <= _ECHO else _echo(text)
             raise MomentTableError(
-                f"moment table {path}: the empty monomial must have value 1/1, got {entry['value']}"
+                f"moment table {path}: the empty monomial must have value 1/1, got {shown}"
             )
         table[key] = value
     return MomentFunctional(tuple(variables), table)

@@ -412,6 +412,12 @@ LONG_ECHOES = {
         MomentTableError,
         f"moment table table.json: entry {cut(A_WORD)}: zero denominator in rational value '1/0'",
     ),
+    "table-empty-monomial-value": (
+        lambda: load_table([{"word": [], "value": "2" * 4000 + "/1"}]),
+        MomentTableError,
+        "moment table table.json: the empty monomial must have value 1/1, "
+        f"got {cut('2' * 4000 + '/1')}",
+    ),
 }
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -478,6 +479,35 @@ def test_deeply_nested_json_is_one_line(capsys, tmp_path, argv, what):
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {what} {path}: invalid JSON (") and err.count("\n") == 1
+
+
+LETTERS = ",".join(f"a{i}" for i in range(1100))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("surjections", "1200"),
+        ("ncpartitions", "1200", "--count-only"),
+        ("decompose", LETTERS),
+        ("decompose", LETTERS, "--nc"),
+        ("cumulants", "--kind", "free", "--args", ",".join(["v"] * 1100), "--moments"),
+    ],
+    ids=["surjections", "ncpartitions", "decompose", "decompose-nc", "free-cumulant"],
+)
+def test_search_past_the_recursion_limit_is_one_line(capsys, moments_file, argv):
+    # Each search recurses once per element or letter, so at Python's
+    # default limit of 1000 frames it ends in a RecursionError at once.
+    if argv[-1] == "--moments":
+        argv += (moments_file,)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    message = "input too large for a recursive search (maximum recursion depth exceeded)"
+    assert result == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("length", [64, 5000])

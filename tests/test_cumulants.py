@@ -325,6 +325,30 @@ class TestFreeAgainstDirect:
                     total += prod
                 assert total == E.expect(args)
 
+    def test_direct_one_variable_is_the_closed_form(self):
+        # orders 1..12 against the sum over the partitions p of n of the
+        # closed-form coefficient times m_p1 m_p2 ..., no recursion shared
+        rng = random.Random(104)
+        for _ in range(3):
+            E = single_var_table(rng, 12)
+            m = [E.expect(("v",) * n) for n in range(13)]
+            for n in range(1, 13):
+                expected = sum(
+                    free_coefficient(n, p) * prod(m[i] for i in p) for p in integer_partitions(n)
+                )
+                assert free_cumulant_direct(E, ("v",) * n) == expected, n
+
+    def test_direct_two_variables_is_the_defining_system(self):
+        # every argument tuple to order 6 against the word cumulant of
+        # the ascending word, by the defining system over surjections
+        rng = random.Random(105)
+        for _ in range(2):
+            E, memo = two_var_table(rng, 6), {}
+            for n in range(1, 7):
+                for args in itertools.product(("a", "b"), repeat=n):
+                    expected = oracle_word_cumulant(E, range(n), args, memo)
+                    assert free_cumulant_direct(E, args) == expected, args
+
 
 class TestBooleanCumulants:
     def test_closed_forms(self):
