@@ -3,24 +3,36 @@
 One subcommand per library operation; output is deterministic and
 scriptable.  Exit codes: 0 on success, 1 on invalid input, a usage
 error or a search past Python's recursion limit, 2 on a missing moment.
+
+``cumulants --up-to N`` runs a closed recursion on one variable's moment
+sequence for every kind: ``boolean_cumulant`` and ``classical_cumulant``
+per order, and for ``--kind free`` the inversion ``_free_from_moments``
+of all the orders that the table defines, so no batch lists the
+non-crossing partitions behind ``CumulantTable``, the route of a single
+query.  Each order is built when its turn comes, and a batch that meets
+a missing moment prints the orders before it, then its error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
-from typing import NoReturn
+from fractions import Fraction
+from typing import Iterator, NoReturn
 
 from .cumulants import (
     CumulantTable,
+    _free_from_moments,
     boolean_cumulant,
     classical_cumulant,
     moments_from_free_cumulants,
 )
 from .probability import (
     MissingMomentError,
+    MomentFunctional,
     MomentTableError,
     _load_cumulants,
     format_rational,
@@ -158,15 +170,13 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
             )
     if ns.word is not None and ns.kind != "word":
         raise ValueError(f"--word does not apply to --kind {ns.kind}")
-    # One query per printed line: its text prefix and the variables it takes.
-    queries, w, extra = [("", args)], None, {}
+    w, extra = None, {}
     if ns.up_to is not None:
         if ns.kind == "word":
             raise ValueError("batch mode (--up-to) does not apply to --kind word")
         _check_size(ns.up_to, "--up-to")
         if len(args) != 1:
             raise ValueError("batch mode takes exactly one variable in --args")
-        queries = [(f"{n} ", args * n) for n in range(1, ns.up_to + 1)]
     elif ns.kind == "word":
         if not ns.word:
             raise ValueError("--kind word requires --word")
@@ -184,24 +194,57 @@ def _run_cumulants(ns: argparse.Namespace) -> int:
         "boolean": lambda tup: boolean_cumulant(E, tup),
         "classical": lambda tup: classical_cumulant(E, tup),
     }[ns.kind]
-    # A line is printed before the next query runs, so a batch that stops
-    # at a missing moment still shows the orders before it.
-    for prefix, tup in queries:
-        text = format_rational(value_of(tup))
+    # One value per printed line, each computed when its turn comes, so a
+    # batch that stops at a missing moment still shows the orders before it.
+    if ns.up_to is None:
+        values = [value_of(args)]
+    elif ns.kind == "free":
+        values = _free_batch(E, args[0], ns.up_to)
+    else:
+        values = (value_of(args * n) for n in range(1, ns.up_to + 1))
+    for n, value in enumerate(values, start=1):
+        tup = args if ns.up_to is None else args * n
+        text = format_rational(value)
         if ns.as_json:
             print(json.dumps({"kind": ns.kind, "N": len(tup), "args": tup, "value": text, **extra}))
         else:
-            print(prefix + text)
+            print(text if ns.up_to is None else f"{n} {text}")
     return 0
+
+
+def _free_batch(E: MomentFunctional, v: str, up_to: int) -> Iterator[Fraction]:
+    """The free cumulants of ``v`` of orders ``1..up_to``, by the closed
+    inversion of the moment sequence.  The moments are read in order up
+    to the first missing one, ``E(v^j)``, whose error is raised after
+    the cumulants of orders ``1..j-1``: the order and the first missing
+    moment in which ``CumulantTable`` reports them."""
+    moments, missing = [], None
+    for n in range(1, up_to + 1):
+        try:
+            moments.append(E.expect((v,) * n))
+        except MissingMomentError as exc:
+            missing = exc
+            break
+    yield from _free_from_moments(moments)
+    if missing is not None:
+        raise missing
 
 
 def _run_moments(ns: argparse.Namespace) -> int:
     by_order = _load_cumulants(ns.cumulants)
     _check_size(ns.up_to, "--up-to", low=0)
-    missing = [n for n in range(1, ns.up_to + 1) if n not in by_order]
+    missing = ns.up_to - sum([n <= ns.up_to for n in by_order])
     if missing:
+        # The first missing orders, as many as fit in 64 characters.
+        gaps = (n for n in itertools.count(1) if n not in by_order)
+        shown = []
+        while len(shown) < missing and len(str(shown)) <= 64:
+            shown.append(next(gaps))
+        text = str(shown)
+        if len(text) > 64:
+            text = f"[{', '.join(map(str, shown[:-1]))}, ...], {missing} in all,"
         raise MomentTableError(
-            f"cumulant table {ns.cumulants}: missing orders {missing} for --up-to {ns.up_to}"
+            f"cumulant table {ns.cumulants}: missing orders {text} for --up-to {ns.up_to}"
         )
     kappas = [by_order[n] for n in range(1, ns.up_to + 1)]
     for n, m in enumerate(moments_from_free_cumulants(kappas)):

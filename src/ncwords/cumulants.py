@@ -53,7 +53,12 @@ partition.  The last two run on integers scaled by a power of the lcm
 of their inputs' denominators; the first two stay on ``Fraction``
 values, as the oracles of the free and peak-word routes.  None of them
 shares logic with the word cumulants, which is what makes the agreement
-tests meaningful.
+tests meaningful.  ``_free_from_moments``, the inverse of
+``moments_from_free_cumulants`` on integers alike, gives the free
+cumulants of one variable's moment sequence, every order at once: it is
+how ``ncwords cumulants --kind free --up-to N`` runs, so that every
+batch of the CLI is a closed recursion on the moment sequence, while a
+single query goes through ``CumulantTable``.
 """
 
 from __future__ import annotations
@@ -330,7 +335,8 @@ def moments_from_free_cumulants(kappas: Sequence[Fraction | int]) -> list[Fracti
     ``s`` and cuts the rest into ``s`` gaps that partition independently,
     so ``m_n = sum over s of kappa_s [z^(n-s)] M(z)^s`` with ``M`` the
     moment series.  It runs on the integers ``d^n m_n``, ``d`` the lcm
-    of the cumulants' denominators.  The semicircle's moments, Catalan:
+    of the cumulants' denominators.  ``_free_from_moments`` is its
+    inverse.  The semicircle's moments, Catalan:
 
     >>> [str(m) for m in moments_from_free_cumulants([0, 1, 0, 0, 0, 0])]
     ['1', '0', '1', '0', '2', '0', '5']
@@ -349,3 +355,32 @@ def moments_from_free_cumulants(kappas: Sequence[Fraction | int]) -> list[Fracti
             total += ks[s - 1] * power[s][r]
         m.append(total)
     return [Fraction(x, d**n) for n, x in enumerate(m)]
+
+
+def _free_from_moments(moments: Sequence[Fraction | int]) -> list[Fraction]:
+    """The inverse of :func:`moments_from_free_cumulants`.
+
+    Given the moments ``m_1 .. m_N`` of one variable, returns its free
+    cumulants ``kappa_1 .. kappa_N``: the same first-block sum, solved
+    for its term ``s = n``, ``kappa_n = m_n - sum over s < n of kappa_s
+    [z^(n-s)] M(z)^s``.  It runs on the integers ``d^n m_n``, ``d`` the
+    lcm of the moments' denominators, with O(N^3) operations and no
+    enumeration.  The semicircle's cumulants:
+
+    >>> [str(k) for k in _free_from_moments([0, 1, 0, 2, 0, 5])]
+    ['0', '1', '0', '0', '0', '0']
+    """
+    d = lcm(*[x.denominator for x in moments])
+    m = [1] + [d**n // x.denominator * x.numerator for n, x in enumerate(moments, start=1)]
+    ks: list[int] = []
+    # power[s][r] is d^r times the coefficient of z^r in M(z)^s.
+    power = [[1] + [0] * len(moments)] + [[] for _ in moments]
+    for n in range(1, len(m)):
+        total = 0
+        for s in range(1, n):
+            r = n - s
+            power[s].append(sum([m[i] * power[s - 1][r - i] for i in range(r + 1)]))
+            total += ks[s - 1] * power[s][r]
+        power[n].append(1)
+        ks.append(m[n] - total)
+    return [Fraction(k, d**n) for n, k in enumerate(ks, start=1)]

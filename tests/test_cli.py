@@ -3,6 +3,7 @@
 import itertools
 import json
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,6 +345,37 @@ class TestCumulantsCommand:
             "--args", "v", "--up-to", "3",
         ) == (2, "1 1/2\n", "error: moment undefined for monomial v*v\n")
 
+    def test_free_batch_of_the_semicircle_to_order_30(self, capsys, tmp_path):
+        # Catalan moments: the second cumulant is 1 and every other is 0.
+        path = tmp_path / "semicircle.json"
+        moments = [
+            {"word": ["v"] * n, "value": f"{comb(n, n // 2) // (n // 2 + 1) if n % 2 == 0 else 0}/1"}
+            for n in range(1, 31)
+        ]
+        path.write_text(json.dumps({"vars": ["v"], "moments": moments}))
+        code, out, err = run(
+            capsys, "cumulants", "--moments", str(path), "--kind", "free",
+            "--args", "v", "--up-to", "30",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"{n} {'1/1' if n == 2 else '0/1'}" for n in range(1, 31)]
+
+    @pytest.mark.parametrize("kind", ["free", "boolean", "classical"])
+    def test_batch_past_the_table_stops_at_its_end(self, capsys, tmp_path, kind):
+        # Each order's query is built when its turn comes, so an --up-to
+        # far past the table costs no more than the table's orders.
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"vars": ["v"], "moments": [
+            {"word": ["v"], "value": "1/2"}, {"word": ["v", "v"], "value": "1/3"},
+        ]}))
+        code, out, err = run(
+            capsys, "cumulants", "--moments", str(path), "--kind", kind,
+            "--args", "v", "--up-to", str(10**20),
+        )
+        assert code == 2
+        assert len(out.splitlines()) == 2
+        assert err == "error: moment undefined for monomial v*v*v\n"
+
     def test_word_kind_needs_one_variable_per_letter(self, capsys, moments_file):
         assert run(
             capsys, "cumulants", "--moments", moments_file, "--kind", "word",
@@ -433,6 +465,17 @@ class TestMomentsCommand:
         path = self.write(tmp_path, {"cumulants": [{"order": 2, "value": "1/1"}]})
         code, _, err = run(capsys, "moments", "--cumulants", path, "--up-to", "2")
         assert code == 1 and "missing orders" in err
+
+    def test_missing_orders_are_one_short_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.write(tmp_path, {"cumulants": [{"order": 1, "value": "1/1"}]})
+        code, out, err = run(
+            capsys, "moments", "--cumulants", "cumulants.json", "--up-to", "1000000"
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("error: cumulant table cumulants.json: missing orders [2, 3, 4, ")
+        assert err.endswith(", ...], 999999 in all, for --up-to 1000000\n")
 
     @pytest.mark.parametrize("payload", [
         "nope {",

@@ -40,7 +40,7 @@ from ncwords import (
 )
 
 from ncwords import cumulants
-from ncwords.cumulants import _compiled, _groups, _plan, _query_word
+from ncwords.cumulants import _compiled, _free_from_moments, _groups, _plan, _query_word
 
 from oracles import (
     fraction_classical_cumulant,
@@ -516,6 +516,49 @@ class TestMomentsFromFreeCumulants:
         ms = moments_from_free_cumulants([0, 1] + [0] * 58)
         assert ms[0::2] == [catalan(n) for n in range(31)]
         assert not any(ms[1::2])
+
+
+class TestFreeFromMoments:
+    # The closed inversion behind `ncwords cumulants --kind free --up-to N`.
+    def moments(self, E, n):
+        return [E.expect(("v",) * j) for j in range(1, n + 1)]
+
+    def test_equals_the_word_route_to_order_10(self):
+        rng = random.Random(110)
+        for _ in range(3):
+            E = single_var_table(rng, 10)
+            table = CumulantTable(E)
+            expected = [table.free_cumulant(("v",) * n) for n in range(1, 11)]
+            assert _free_from_moments(self.moments(E, 10)) == expected
+
+    def test_equals_the_closed_form_to_order_20(self):
+        # the sum over the partitions p of n of the closed-form
+        # coefficient times m_p1 m_p2 ..., no recursion shared
+        rng = random.Random(111)
+        for _ in range(3):
+            E = single_var_table(rng, 20)
+            m = [Fraction(1)] + self.moments(E, 20)
+            kappas = _free_from_moments(m[1:])
+            for n in range(1, 21):
+                expected = sum(
+                    free_coefficient(n, p) * prod(m[i] for i in p) for p in integer_partitions(n)
+                )
+                assert kappas[n - 1] == expected, n
+
+    def test_inverts_moments_from_free_cumulants_to_order_40(self):
+        rng = random.Random(112)
+        for _ in range(5):
+            ms = self.moments(single_var_table(rng, 40), 40)
+            kappas = _free_from_moments(ms)
+            assert all(type(k) is Fraction for k in kappas)
+            assert moments_from_free_cumulants(kappas) == [1] + ms
+
+    def test_semicircle_to_order_60(self):
+        ms = [catalan(n // 2) if n % 2 == 0 else 0 for n in range(1, 61)]
+        assert _free_from_moments(ms) == [0, 1] + [0] * 58
+
+    def test_no_moments(self):
+        assert _free_from_moments([]) == []
 
 
 def linear_mix_functional(rng, alpha, beta, up_to=4):
